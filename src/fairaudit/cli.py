@@ -15,10 +15,12 @@ import json
 import os
 import sys
 
+import jsonschema
+
 from . import report as rp
 from . import revenue as rv
 from .config import AuditConfig, ConfigError, CSV_FORMAT, GERMAN_FORMAT, load_config
-from .risk import compare_hazards, run_battery
+from .risk import MODES, compare_hazards, run_battery
 from .scorecard import classify, evaluate, fit_scorecard
 from .tabular import (
     Dataset,
@@ -42,15 +44,13 @@ def _load_dataset(cfg: AuditConfig) -> Dataset:
     if not os.path.exists(ds.path):
         raise ConfigError(f"dataset file not found: {ds.path}")
     try:
-        if ds.format == GERMAN_FORMAT:
-            return load_german_credit(ds.path)
         if ds.format == CSV_FORMAT:
             return load_csv(ds.path, ds.outcome_column, ds.good_value, ds.bad_value)
+        return load_german_credit(ds.path)
     except ParseError as exc:
         raise ConfigError(f"cannot parse dataset {ds.path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {ds.path}: {exc}") from exc
-    raise ConfigError(f"unknown dataset format {ds.format!r}")
 
 
 def _audited_dataset(cfg: AuditConfig) -> Dataset:
@@ -82,19 +82,19 @@ def _read_scores(path: str | None, expected_rows: int) -> list[int]:
         raise ConfigError("--scores is required for this command")
     if not os.path.exists(path):
         raise ConfigError(f"scores file not found: {path}")
-    scores = rp.read_scores_csv(path)
+    try:
+        scores = rp.read_scores_csv(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if len(scores) != expected_rows:
-        raise ValueError(f"scores file has {len(scores)} rows, dataset has {expected_rows}")
+        raise ConfigError(f"scores file has {len(scores)} rows, dataset has {expected_rows}")
     return scores
 
 
 def _config_from_args(args) -> AuditConfig:
     cfg = load_config(args.config)
-    modes = None
-    if getattr(args, "mode", None):
-        modes = {"both": ("group", "individual"),
-                 "group": ("group",),
-                 "individual": ("individual",)}[args.mode]
+    mode = getattr(args, "mode", None)
+    modes = None if mode is None else MODES if mode == "both" else (mode,)
     return cfg.with_overrides(dataset_path=args.dataset, output_dir=args.out,
                               modes=modes)
 
@@ -166,9 +166,13 @@ def cmd_compare(args) -> int:
     def read_risk(path, expect_target):
         if not os.path.exists(path):
             raise ConfigError(f"risk report not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        risk, target = rp.risk_report_from_dict(doc)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                risk, target = rp.risk_report_from_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        except jsonschema.ValidationError as exc:
+            raise ConfigError(f"{path} is not a valid risk report: {exc.message}") from exc
         if target != expect_target:
             raise ValueError(f"{path} holds a {target!r} risk report, expected {expect_target!r}")
         return risk
@@ -197,7 +201,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"credit amount column {cfg.revenue.amount_column!r} "
                           "not in dataset")
     scores = _read_scores(args.scores, d.size)
-    thresholds = cfg.sweep_grid.thresholds()
+    thresholds = cfg.revenue.thresholds.values()
 
     rows = rv.sweep(d, scores, thresholds, features, cfg.conditioning_columns,
                     cfg.detection, cfg.fairness_modes, cfg.revenue)

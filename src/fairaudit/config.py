@@ -3,26 +3,26 @@
 Defaults encode the canonical German Credit audit (sensitive features
 gender / age_group / foreign, conditioning on Attribute1, 3, 6, 10, 12,
 14, rigour high, JS with max aggregation), so `audit` with no overrides
-reproduces it.  Unknown keys are rejected rather than ignored.
+reproduces it.  Each default is written once, in its dataclass.  A config
+file is overlaid onto those defaults field by field and checked against
+the field annotations, and every dataclass validates itself, so any bad
+value fails at load.  Unknown keys are rejected rather than ignored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .detection import DetectionConfig
-from .divergence import DEFAULT_CLASS_REFERENCE, HIGH, LOW
 from .revenue import RevenueConfig
-from .scorecard import BinningConfig, ScorecardConfig, ScoreScaling
+from .risk import MODES
+from .scorecard import ScorecardConfig
 
 CONFIG_VERSION = 1
-
-DEFAULT_SENSITIVE = ("gender", "age_group", "foreign")
-DEFAULT_CONDITIONING = ("Attribute1", "Attribute3", "Attribute6",
-                        "Attribute10", "Attribute12", "Attribute14")
-# Violation-threshold bands per rigour level, calibrated on German Credit.
-DEFAULT_INTERVALS = {HIGH: (0.005, 0.025), LOW: (0.02, 0.10)}
 
 GERMAN_FORMAT = "german"
 CSV_FORMAT = "csv"
@@ -46,32 +46,21 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class SweepGrid:
-    start: int = 300
-    stop: int = 800
-    step: int = 10
-
-    def thresholds(self) -> list[int]:
-        if self.step <= 0:
-            raise ConfigError("sweep step must be positive")
-        grid = list(range(self.start, self.stop + 1, self.step))
-        if not grid:
-            raise ConfigError("sweep threshold grid is empty")
-        return grid
-
-
-@dataclass(frozen=True)
 class AuditConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    sensitive_features: tuple[str, ...] = DEFAULT_SENSITIVE
-    conditioning_columns: tuple[str, ...] = DEFAULT_CONDITIONING
-    detection: DetectionConfig = field(
-        default_factory=lambda: DetectionConfig(intervals=dict(DEFAULT_INTERVALS)))
-    fairness_modes: tuple[str, ...] = ("group", "individual")
+    sensitive_features: tuple[str, ...] = ("gender", "age_group", "foreign")
+    conditioning_columns: tuple[str, ...] = ("Attribute1", "Attribute3", "Attribute6",
+                                             "Attribute10", "Attribute12", "Attribute14")
+    detection: DetectionConfig = field(default_factory=DetectionConfig)
+    fairness_modes: tuple[str, ...] = MODES
     scorecard: ScorecardConfig = field(default_factory=ScorecardConfig)
     revenue: RevenueConfig = field(default_factory=RevenueConfig)
-    sweep_grid: SweepGrid = field(default_factory=SweepGrid)
     output_dir: str = "out"
+
+    def __post_init__(self):
+        if not self.fairness_modes or not set(self.fairness_modes) <= set(MODES):
+            raise ValueError(f"fairness_modes must be a non-empty subset of {list(MODES)}, "
+                             f"got {list(self.fairness_modes)}")
 
     def with_overrides(self, dataset_path=None, output_dir=None, modes=None):
         cfg = self
@@ -84,103 +73,77 @@ class AuditConfig:
         return cfg
 
 
-def _require_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
+# --- JSON -> dataclasses -----------------------------------------------------
+
+def _overlay(base, doc, where: str):
+    """Overlay the JSON object `doc` onto the config dataclass instance `base`.
+
+    A field marked `metadata={"flat": True}` is a nested dataclass whose
+    keys sit directly in `doc` rather than in an object of their own.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'config'}: expected an object, got {json.dumps(doc)}")
+    hints = typing.get_type_hints(type(base))
+    changes, used = {}, set()
+    for f in fields(base):
+        current = getattr(base, f.name)
+        if f.metadata.get("flat"):
+            sub = {g.name: doc[g.name] for g in fields(current) if g.name in doc}
+            changes[f.name] = _overlay(current, sub, where)
+            used |= sub.keys()
+        elif f.name in doc:
+            changes[f.name] = _value(hints[f.name], current, doc[f.name],
+                                     f"{where}.{f.name}".lstrip("."))
+            used.add(f.name)
+    unknown = doc.keys() - used
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where or 'config'} keys: {sorted(unknown)}")
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{where or 'config'}: {exc}") from exc
 
 
-def _dataset_from_dict(doc: dict) -> DatasetConfig:
-    _require_keys(doc, {"path", "format", "outcome_column", "good_value", "bad_value"},
-                  "dataset")
-    return DatasetConfig(**{**DatasetConfig().__dict__, **doc})
-
-
-def _detection_from_dict(doc: dict) -> DetectionConfig:
-    _require_keys(doc, {"r", "aggregation", "depth", "min_support", "intervals", "c_ref"},
-                  "detection")
-    intervals = dict(DEFAULT_INTERVALS)
-    if "intervals" in doc:
-        for level, pair in doc["intervals"].items():
-            if level not in (HIGH, LOW):
-                raise ConfigError(f"unknown rigour level {level!r} in intervals")
-            if len(pair) != 2:
-                raise ConfigError(f"interval for {level!r} must be [lower, upper]")
-            intervals[level] = (float(pair[0]), float(pair[1]))
-    base = DetectionConfig(intervals=intervals)
-    return DetectionConfig(
-        r=doc.get("r", base.r),
-        aggregation=doc.get("aggregation", base.aggregation),
-        depth=doc.get("depth", base.depth),
-        min_support=doc.get("min_support", base.min_support),
-        intervals=intervals,
-        c_ref=doc.get("c_ref", DEFAULT_CLASS_REFERENCE),
-    )
-
-
-def _scorecard_from_dict(doc: dict) -> ScorecardConfig:
-    _require_keys(doc, {"columns", "max_prebins", "min_bin_fraction", "learning_rate",
-                        "iterations", "pdo", "base_score", "base_odds",
-                        "score_threshold"}, "scorecard")
-    base = ScorecardConfig()
-    binning = BinningConfig(
-        max_prebins=doc.get("max_prebins", base.binning.max_prebins),
-        min_bin_fraction=doc.get("min_bin_fraction", base.binning.min_bin_fraction))
-    scaling = ScoreScaling(
-        pdo=doc.get("pdo", base.scaling.pdo),
-        base_score=doc.get("base_score", base.scaling.base_score),
-        base_odds=doc.get("base_odds", base.scaling.base_odds))
-    columns = doc.get("columns")
-    return ScorecardConfig(
-        columns=tuple(columns) if columns is not None else None,
-        binning=binning,
-        learning_rate=doc.get("learning_rate", base.learning_rate),
-        iterations=doc.get("iterations", base.iterations),
-        scaling=scaling,
-        score_threshold=doc.get("score_threshold", base.score_threshold))
-
-
-def _revenue_from_dict(doc: dict) -> tuple[RevenueConfig, SweepGrid]:
-    _require_keys(doc, {"provision_factor", "interest_rate", "amount_column",
-                        "interest_rate_column", "thresholds"}, "revenue")
-    base = RevenueConfig()
-    rev = RevenueConfig(
-        provision_factor=doc.get("provision_factor", base.provision_factor),
-        interest_rate=doc.get("interest_rate", base.interest_rate),
-        amount_column=doc.get("amount_column", base.amount_column),
-        interest_rate_column=doc.get("interest_rate_column", base.interest_rate_column))
-    grid_doc = doc.get("thresholds", {})
-    _require_keys(grid_doc, {"start", "stop", "step"}, "revenue.thresholds")
-    grid = SweepGrid(**{**SweepGrid().__dict__, **grid_doc})
-    return rev, grid
+def _value(tp, current, value, where: str):
+    """Check one JSON value against a field annotation and convert it:
+    lists become tuples, objects merge onto the current dict."""
+    if is_dataclass(tp):
+        return _overlay(current, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # only `X | None` is used
+        if value is None and type(None) in args:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _value(tp, current, value, where)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {json.dumps(value)}")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise ConfigError(f"{where}: expected {len(items)} items, got {len(value)}")
+        return tuple(_value(t, None, v, f"{where}[{i}]")
+                     for i, (t, v) in enumerate(zip(items, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {json.dumps(value)}")
+        return {**current, **{k: _value(args[1], None, v, f"{where}.{k}")
+                              for k, v in value.items()}}
+    # bool is not an int here; an int stands for a float as written
+    if tp is float and type(value) in (int, float) and math.isfinite(value):
+        return value
+    if tp is not float and type(value) is tp:
+        return value
+    raise ConfigError(f"{where}: expected {tp.__name__}, got {json.dumps(value)}")
 
 
 def config_from_dict(doc: dict) -> AuditConfig:
-    _require_keys(doc, {"version", "dataset", "sensitive_features",
-                        "conditioning_columns", "detection", "fairness_modes",
-                        "scorecard", "revenue", "output_dir"}, "config")
-    version = doc.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version {version!r}")
-    try:
-        base = AuditConfig()
-        revenue, grid = _revenue_from_dict(doc.get("revenue", {}))
-        return AuditConfig(
-            dataset=_dataset_from_dict(doc.get("dataset", {})),
-            sensitive_features=tuple(doc.get("sensitive_features", base.sensitive_features)),
-            conditioning_columns=tuple(doc.get("conditioning_columns",
-                                               base.conditioning_columns)),
-            detection=_detection_from_dict(doc.get("detection", {})),
-            fairness_modes=tuple(doc.get("fairness_modes", base.fairness_modes)),
-            scorecard=_scorecard_from_dict(doc.get("scorecard", {})),
-            revenue=revenue,
-            sweep_grid=grid,
-            output_dir=doc.get("output_dir", base.output_dir),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Overlay a parsed config file onto the built-in defaults."""
+    if isinstance(doc, dict):
+        doc = dict(doc)
+        version = doc.pop("version", CONFIG_VERSION)
+        if type(version) is not int or version != CONFIG_VERSION:
+            raise ConfigError(f"unsupported config version {json.dumps(version)}")
+    return _overlay(AuditConfig(), doc, "")
 
 
 def load_config(path: str | None) -> AuditConfig:
@@ -194,6 +157,4 @@ def load_config(path: str | None) -> AuditConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
     return config_from_dict(doc)

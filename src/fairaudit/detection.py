@@ -34,7 +34,8 @@ class DetectionConfig:
     aggregation: str = "max"
     depth: int = 1
     min_support: int = 10
-    intervals: dict = field(default_factory=lambda: dict(dv.DEFAULT_INTERVALS))
+    intervals: dict[str, tuple[float, float]] = field(
+        default_factory=lambda: dict(dv.DEFAULT_INTERVALS))
     c_ref: int = dv.DEFAULT_CLASS_REFERENCE
 
     def __post_init__(self):
@@ -44,6 +45,15 @@ class DetectionConfig:
             raise ValueError("subclass depth must be >= 1")
         if self.min_support < 0:
             raise ValueError("min_support cannot be negative")
+        if not self.intervals.keys() <= {dv.HIGH, dv.LOW}:
+            raise ValueError(f"unknown rigour levels in intervals: {sorted(self.intervals)}")
+        if self.r not in self.intervals:
+            raise ValueError(f"unknown rigour level {self.r!r}")
+        for level, (lower, upper) in self.intervals.items():
+            if not 0.0 <= lower < upper <= 1.0:
+                raise ValueError(f"invalid threshold interval for {level!r}: [{lower}, {upper}]")
+        if self.c_ref <= 0:
+            raise ValueError("class reference count c_ref must be positive")
 
 
 @dataclass(frozen=True)
@@ -84,9 +94,6 @@ class TestReport:
     conditioning_columns: tuple[str, ...]
     lines: tuple[TestLine, ...]
     warnings: tuple[str, ...] = ()
-
-    def violated_lines(self) -> list[TestLine]:
-        return [line for line in self.lines if line.violated]
 
 
 def _threshold(cfg: DetectionConfig, n_c: int, n_d: int, dataset_size: int) -> float:

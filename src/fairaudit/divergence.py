@@ -21,8 +21,9 @@ JS = "js"
 HIGH = "high"
 LOW = "low"
 
-# (lower, upper) threshold interval per rigour level; configurable.
-DEFAULT_INTERVALS = {HIGH: (0.02, 0.10), LOW: (0.10, 0.25)}
+# (lower, upper) threshold interval per rigour level, calibrated on German
+# Credit; configurable.
+DEFAULT_INTERVALS = {HIGH: (0.005, 0.025), LOW: (0.02, 0.10)}
 DEFAULT_CLASS_REFERENCE = 10
 
 AGGREGATIONS = ("max", "min", "mean")

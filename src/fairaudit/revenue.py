@@ -10,7 +10,7 @@ at each point, against the (threshold-independent) risk of the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .detection import DetectionConfig
 from .risk import MODES, run_battery
@@ -21,11 +21,28 @@ PREDICTION_COLUMN = "prediction"
 
 
 @dataclass(frozen=True)
+class SweepGrid:
+    """Inclusive score-threshold grid start, start+step, ..., <= stop."""
+
+    start: int = 300
+    stop: int = 800
+    step: int = 10
+
+    def __post_init__(self):
+        if self.step <= 0 or not self.values():
+            raise ValueError("empty sweep threshold grid: need step > 0 and start <= stop")
+
+    def values(self) -> list[int]:
+        return list(range(self.start, self.stop + 1, self.step))
+
+
+@dataclass(frozen=True)
 class RevenueConfig:
     provision_factor: float = 0.2
     interest_rate: float = 0.05
     amount_column: str = "Attribute5"
     interest_rate_column: str | None = None
+    thresholds: SweepGrid = field(default_factory=SweepGrid)
 
     def __post_init__(self):
         if not (0.0 <= self.provision_factor <= 1.0):

@@ -347,11 +347,12 @@ def _fit_categorical(column, values, y_bad, config) -> BinningSpec:
 
 @dataclass(frozen=True)
 class ScorecardConfig:
+    # binning and scaling keys sit directly under `scorecard` in a config file
     columns: tuple[str, ...] | None = None  # None -> all non-derived input columns
-    binning: BinningConfig = field(default_factory=BinningConfig)
+    binning: BinningConfig = field(default_factory=BinningConfig, metadata={"flat": True})
     learning_rate: float = 0.1
     iterations: int = 4000
-    scaling: ScoreScaling = field(default_factory=ScoreScaling)
+    scaling: ScoreScaling = field(default_factory=ScoreScaling, metadata={"flat": True})
     score_threshold: int = 550
 
     def __post_init__(self):

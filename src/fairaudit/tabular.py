@@ -346,6 +346,8 @@ def sensitive_spec_for(d: Dataset, name: str) -> SensitiveSpec:
     if name in BUILTIN_SENSITIVE:
         return BUILTIN_SENSITIVE[name]
     if d.has_column(name):
+        if d.column(name).kind == INTEGER:
+            raise ValueError(f"sensitive feature {name!r} is an integer column, not categorical")
         classes = tuple(sorted(set(d.column(name).values)))
         return SensitiveSpec(name, name, classes)
     raise ValueError(f"unknown sensitive feature {name!r}")

@@ -6,6 +6,10 @@ import pytest
 
 from fairaudit import cli, report
 from fairaudit.config import AuditConfig, ConfigError, config_from_dict, load_config
+from fairaudit.detection import DetectionConfig
+
+EXAMPLE_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "config.example.json")
 
 
 def run(*argv):
@@ -215,7 +219,7 @@ class TestConfig:
         assert cfg.detection.r == "high"
         assert cfg.scorecard.score_threshold == 550
         assert cfg.revenue.provision_factor == 0.2
-        assert cfg.sweep_grid.thresholds() == list(range(300, 801, 10))
+        assert cfg.revenue.thresholds.values() == list(range(300, 801, 10))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -251,6 +255,10 @@ class TestConfig:
     def test_defaults_when_no_config(self):
         assert load_config(None) == AuditConfig()
 
+    def test_one_source_for_defaults(self):
+        assert DetectionConfig() == AuditConfig().detection
+        assert load_config(EXAMPLE_CONFIG) == AuditConfig()
+
     def test_bad_dataset_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             config_from_dict({"version": 1, "dataset": {"format": "parquet"}})
@@ -267,6 +275,83 @@ class TestConfig:
         card = read_json(os.path.join(out, "scorecard.json"))
         assert [b["column"] for b in card["binnings"]] == [
             "Attribute1", "Attribute2", "Attribute5"]
+
+
+def _config_case(doc, command=("audit", "--target", "data")):
+    def argv(tmp_path, outputs, german_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        return [*command, "--config", str(cfg_path), "--dataset", german_path]
+    return argv
+
+
+def _scores_case(edit):
+    def argv(tmp_path, outputs, german_path):
+        with open(os.path.join(outputs, "scores.csv"), encoding="utf-8") as fh:
+            header, *rows = fh.read().splitlines()
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join([header, *edit(rows)]) + "\n")
+        return ["audit", "--target", "model", "--scores", str(scores),
+                "--dataset", german_path]
+    return argv
+
+
+def _risk_report_case(edit):
+    def argv(tmp_path, outputs, german_path):
+        with open(os.path.join(outputs, "risk_report_model.json"), encoding="utf-8") as fh:
+            text = fh.read()
+        model_report = tmp_path / "risk_report_model.json"
+        model_report.write_text(edit(text))
+        return ["compare", str(model_report), os.path.join(outputs, "risk_report_data.json")]
+    return argv
+
+
+MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
+    "reversed_interval": (_config_case({"detection": {"intervals": {"high": [0.3, 0.1]}}}),
+                          "detection: invalid threshold interval for 'high'"),
+    "unknown_rigour": (_config_case({"detection": {"r": "medium"}}),
+                       "detection: unknown rigour level 'medium'"),
+    "unknown_mode": (_config_case({"fairness_modes": ["grp"]}), "fairness_modes"),
+    "zero_sweep_step": (_config_case({"revenue": {"thresholds": {"step": 0}}}, ("train",)),
+                        "revenue.thresholds: empty sweep threshold grid"),
+    "string_depth": (_config_case({"detection": {"depth": "2"}}),
+                     'detection.depth: expected int, got "2"'),
+    "list_section": (_config_case({"detection": []}), "detection: expected an object"),
+    "null_intervals": (_config_case({"detection": {"intervals": None}}),
+                       "detection.intervals: expected an object, got null"),
+    "string_feature_list": (_config_case({"sensitive_features": "gender"}),
+                            "sensitive_features: expected a list"),
+    "string_iterations": (_config_case({"scorecard": {"iterations": "10"}}, ("train",)),
+                          'scorecard.iterations: expected int, got "10"'),
+    "integer_sensitive_column": (_config_case({"sensitive_features": ["Attribute5"]}),
+                                 "'Attribute5' is an integer column"),
+    "reversed_scores": (_scores_case(lambda rows: rows[::-1]),
+                        "line 2: expected row_id 0 and a score, got ['999',"),
+    "short_scores_row": (_scores_case(lambda rows: ["0", *rows[1:]]),
+                         "line 2: expected row_id 0 and a score, got ['0']"),
+    "non_integer_score": (_scores_case(lambda rows: ["0,high,good", *rows[1:]]),
+                          "line 2: score 'high' is not an integer"),
+    "risk_report_without_overall": (_risk_report_case(
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "overall"})),
+        "'overall' is a required property"),
+    "risk_report_invalid_json": (_risk_report_case(lambda text: text[:-5]), "not valid JSON"),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("argv, message", MALFORMED_INPUTS.values(),
+                             ids=MALFORMED_INPUTS.keys())
+    def test_one_error_line_exit_2_no_output(self, argv, message, tmp_path, outputs,
+                                             german_path, capsys):
+        out = tmp_path / "out"
+        code = run(*argv(tmp_path, outputs, german_path), "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
 
 class TestReportHelpers:
