@@ -200,6 +200,9 @@ def cmd_sweep(args) -> int:
     if not d.has_column(cfg.revenue.amount_column):
         raise ConfigError(f"credit amount column {cfg.revenue.amount_column!r} "
                           "not in dataset")
+    rate_column = cfg.revenue.interest_rate_column
+    if rate_column is not None and not d.has_column(rate_column):
+        raise ConfigError(f"interest rate column {rate_column!r} not in dataset")
     scores = _read_scores(args.scores, d.size)
     thresholds = cfg.revenue.thresholds.values()
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from . import divergence as dv
 from .tabular import (
     Dataset,
@@ -168,10 +170,16 @@ def subclass_double_check(d: Dataset, feature: SensitiveSpec, outcome: str,
     lines = []
     for depth in range(1, cfg.depth + 1):
         for combo in combinations(nonsensitive, depth):
-            cols = [d.column(c).values for c in combo]
-            observed = sorted({tuple(col[i] for col in cols) for i in range(d.size)})
-            for values in observed:
-                conditions = tuple(zip(combo, values))
+            # Fold the columns' codes into one key per row, re-ranked after
+            # each column so it stays below d.size; key order is then the
+            # sorted order of the value tuples.
+            key = np.zeros(d.size, dtype=np.int64)
+            for col in combo:
+                enc = d.column(col).encoded
+                _, first_rows, key = np.unique(key * len(enc.uniques) + enc.codes,
+                                               return_index=True, return_inverse=True)
+            for row in first_rows.tolist():
+                conditions = tuple((col, d.column(col).values[row]) for col in combo)
                 fp = partition(d, feature, conditions)
                 support = fp.covered
                 if support < cfg.min_support:

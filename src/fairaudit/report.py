@@ -10,6 +10,7 @@ wall-clock anywhere, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from importlib import resources
 
@@ -33,9 +34,18 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+@functools.cache
+def _validator(schema_name: str) -> jsonschema.Draft202012Validator:
+    schema = load_schema(schema_name)
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
+
+
 def validate(doc: dict, schema_name: str):
-    jsonschema.validate(doc, load_schema(schema_name),
-                        cls=jsonschema.Draft202012Validator)
+    """Raise the error `jsonschema.validate` would, checking the schema once."""
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def dumps(doc: dict) -> str:

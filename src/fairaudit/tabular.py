@@ -4,13 +4,20 @@ The German Credit loader understands the classic whitespace-separated,
 A-coded file (21 fields per line, label 1=good / 2=bad).  A generic CSV
 loader keeps the engine model-agnostic.  Datasets are immutable after
 load; "mutating" helpers return new Dataset objects sharing column data.
+Each column encodes itself once, on first use, as integer codes over its
+sorted distinct values; partitions and label counts are numpy operations
+over those codes.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
+
+import numpy as np
 
 GOOD = "good"
 BAD = "bad"
@@ -32,6 +39,15 @@ class EmptyClassError(ValueError):
     """
 
 
+class Encoding(NamedTuple):
+    """A column as integer codes: `codes[i]` is the rank of row i's value
+    among the sorted distinct values `uniques`; `index` maps value -> code."""
+
+    uniques: tuple
+    index: dict
+    codes: np.ndarray
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
@@ -41,6 +57,16 @@ class Column:
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, INTEGER, DERIVED):
             raise ValueError(f"unknown column kind {self.kind!r}")
+
+    @functools.cached_property
+    def encoded(self) -> Encoding:
+        # sorted(set()) rather than np.unique: a numpy string array drops
+        # trailing NULs and would merge distinct values.
+        uniques = tuple(sorted(set(self.values)))
+        index = {v: i for i, v in enumerate(uniques)}
+        codes = np.fromiter(map(index.__getitem__, self.values), dtype=np.int64,
+                            count=len(self.values))
+        return Encoding(uniques, index, codes)
 
 
 @dataclass(frozen=True)
@@ -53,6 +79,7 @@ class Dataset:
 
     columns: tuple[Column, ...]
     outcome: str
+    _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.columns:
@@ -62,10 +89,10 @@ class Dataset:
             raise ValueError("columns have differing lengths")
         if next(iter(sizes)) == 0:
             raise ValueError("dataset has no rows")
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
+        object.__setattr__(self, "_by_name", {c.name: c for c in self.columns})
+        if len(self._by_name) != len(self.columns):
             raise ValueError("duplicate column names")
-        if self.outcome not in names:
+        if self.outcome not in self._by_name:
             raise ValueError(f"outcome column {self.outcome!r} not present")
         bad_labels = set(self.column(self.outcome).values) - {GOOD, BAD}
         if bad_labels:
@@ -75,18 +102,14 @@ class Dataset:
     def size(self) -> int:
         return len(self.columns[0].values)
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
     def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._by_name
 
     def column(self, name: str) -> Column:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise ValueError(f"unknown column {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ValueError(f"unknown column {name!r}") from None
 
     def row(self, index: int) -> dict:
         return {c.name: c.values[index] for c in self.columns}
@@ -170,9 +193,6 @@ class ProbabilityDistribution:
         rest = [mass[i] for i in nonzero[:-1]]
         mass[last] = max(0.0, float(math.fsum([1.0] + [-m for m in rest])))
         return cls(tuple(support), tuple(mass))
-
-    def prob(self, label: str) -> float:
-        return self.mass[self.support.index(label)]
 
 
 # --- German Credit loader -------------------------------------------------
@@ -344,12 +364,15 @@ def derive_sensitive_features(d: Dataset) -> Dataset:
 def sensitive_spec_for(d: Dataset, name: str) -> SensitiveSpec:
     """Resolve a sensitive feature by name: builtin or any categorical column."""
     if name in BUILTIN_SENSITIVE:
-        return BUILTIN_SENSITIVE[name]
+        spec = BUILTIN_SENSITIVE[name]
+        if not d.has_column(spec.column):
+            raise ValueError(f"sensitive column {spec.column!r} of built-in feature "
+                             f"{name!r} not in dataset")
+        return spec
     if d.has_column(name):
         if d.column(name).kind == INTEGER:
             raise ValueError(f"sensitive feature {name!r} is an integer column, not categorical")
-        classes = tuple(sorted(set(d.column(name).values)))
-        return SensitiveSpec(name, name, classes)
+        return SensitiveSpec(name, name, d.column(name).encoded.uniques)
     raise ValueError(f"unknown sensitive feature {name!r}")
 
 
@@ -361,28 +384,26 @@ def partition(d: Dataset, feature: SensitiveSpec,
     if not d.has_column(feature.column):
         raise ValueError(f"sensitive column {feature.column!r} not in dataset")
     conditions = tuple((str(c), v) for c, v in conditions)
+    mask = np.ones(d.size, dtype=bool)
     for col, value in conditions:
-        column = d.column(col)  # raises on unknown column
-        if value not in set(column.values):
+        enc = d.column(col).encoded  # raises on unknown column
+        if value not in enc.index:
             raise ValueError(f"value {value!r} never occurs in column {col!r}")
+        mask &= enc.codes == enc.index[value]
 
-    labels = d.column(feature.column).values
-    cells: dict = {c: [] for c in feature.classes}
-    for i in range(d.size):
-        if all(d.column(col).values[i] == value for col, value in conditions):
-            label = labels[i]
-            if label not in cells:
-                raise ValueError(f"class label {label!r} outside declared classes "
-                                 f"of {feature.name!r}")
-            cells[label].append(i)
-    return FeaturePartition(feature=feature,
-                            cells={c: tuple(rows) for c, rows in cells.items()},
-                            conditions=conditions)
-
-
-def outcome_support(d: Dataset, outcome: str) -> tuple[str, ...]:
-    """The ordered label domain of an outcome column over the whole dataset."""
-    return tuple(sorted(set(d.column(outcome).values)))
+    labels = d.column(feature.column).encoded
+    rows = np.flatnonzero(mask)
+    codes = labels.codes[rows]
+    declared = np.zeros(len(labels.uniques), dtype=bool)
+    declared[[labels.index[c] for c in feature.classes if c in labels.index]] = True
+    undeclared = ~declared[codes]
+    if undeclared.any():
+        label = labels.uniques[codes[undeclared.argmax()]]
+        raise ValueError(f"class label {label!r} outside declared classes "
+                         f"of {feature.name!r}")
+    cells = {c: tuple(rows[codes == labels.index[c]].tolist()) if c in labels.index else ()
+             for c in feature.classes}
+    return FeaturePartition(feature=feature, cells=cells, conditions=conditions)
 
 
 def label_distribution(d: Dataset, rows, outcome: str) -> ProbabilityDistribution:
@@ -395,10 +416,7 @@ def label_distribution(d: Dataset, rows, outcome: str) -> ProbabilityDistributio
     rows = tuple(rows)
     if not rows:
         raise EmptyClassError(f"empty row set for outcome {outcome!r}")
-    support = outcome_support(d, outcome)
-    values = d.column(outcome).values
-    counts = [0] * len(support)
-    index = {label: i for i, label in enumerate(support)}
-    for r in rows:
-        counts[index[values[r]]] += 1
-    return ProbabilityDistribution.from_counts(support, counts)
+    enc = d.column(outcome).encoded
+    picked = enc.codes[np.fromiter(rows, dtype=np.intp, count=len(rows))]
+    counts = np.bincount(picked, minlength=len(enc.uniques))
+    return ProbabilityDistribution.from_counts(enc.uniques, counts.tolist())

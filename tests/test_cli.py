@@ -296,6 +296,26 @@ def _scores_case(edit):
     return argv
 
 
+def _csv_case(doc):
+    def argv(tmp_path, outputs, german_path):
+        data = tmp_path / "generic.csv"
+        data.write_text("group,income,label\n" + "".join(
+            f"g{i % 2},{1000 + 10 * i},{'ok' if i % 3 else 'ko'}\n" for i in range(60)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": {"path": str(data), "format": "csv", "outcome_column": "label",
+                        "good_value": "ok", "bad_value": "ko"}, **doc}))
+        return ["audit", "--target", "data", "--config", str(cfg_path)]
+    return argv
+
+
+def _sweep_case(doc):
+    def argv(tmp_path, outputs, german_path):
+        scores = ("sweep", "--scores", os.path.join(outputs, "scores.csv"))
+        return _config_case(doc, scores)(tmp_path, outputs, german_path)
+    return argv
+
+
 def _risk_report_case(edit):
     def argv(tmp_path, outputs, german_path):
         with open(os.path.join(outputs, "risk_report_model.json"), encoding="utf-8") as fh:
@@ -325,6 +345,11 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
                           'scorecard.iterations: expected int, got "10"'),
     "integer_sensitive_column": (_config_case({"sensitive_features": ["Attribute5"]}),
                                  "'Attribute5' is an integer column"),
+    "csv_keeps_builtin_gender": (_csv_case({"conditioning_columns": ["income"]}),
+                                 "sensitive column 'gender' of built-in feature 'gender' "
+                                 "not in dataset"),
+    "missing_interest_rate_column": (_sweep_case({"revenue": {"interest_rate_column": "nope"}}),
+                                     "interest rate column 'nope' not in dataset"),
     "reversed_scores": (_scores_case(lambda rows: rows[::-1]),
                         "line 2: expected row_id 0 and a score, got ['999',"),
     "short_scores_row": (_scores_case(lambda rows: ["0", *rows[1:]]),
@@ -358,6 +383,17 @@ class TestReportHelpers:
     def test_schema_rejects_malformed(self):
         with pytest.raises(jsonschema.ValidationError):
             report.validate({"target": "model"}, "risk_report")
+
+    def test_validate_raises_what_jsonschema_raises(self):
+        doc = {"target": "both", "hazards": [{"test": 1, "mode": "group"}], "overall": -1}
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, report.load_schema("risk_report"),
+                                cls=jsonschema.Draft202012Validator)
+        for _ in range(2):  # the second call reuses the compiled validator
+            with pytest.raises(jsonschema.ValidationError) as got:
+                report.validate(doc, "risk_report")
+            assert got.value.message == want.value.message
+            assert got.value.path == want.value.path
 
     def test_scores_csv_header_checked(self, tmp_path):
         bad = tmp_path / "scores.csv"
