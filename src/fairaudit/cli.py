@@ -197,12 +197,10 @@ def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     d = _audited_dataset(cfg)
     features = _resolve_features(d, cfg)
-    if not d.has_column(cfg.revenue.amount_column):
-        raise ConfigError(f"credit amount column {cfg.revenue.amount_column!r} "
-                          "not in dataset")
-    rate_column = cfg.revenue.interest_rate_column
-    if rate_column is not None and not d.has_column(rate_column):
-        raise ConfigError(f"interest rate column {rate_column!r} not in dataset")
+    try:
+        rv.credit_columns(d, cfg.revenue)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     scores = _read_scores(args.scores, d.size)
     thresholds = cfg.revenue.thresholds.values()
 

@@ -94,6 +94,32 @@ def with_predictions(d: Dataset, scores, threshold: int) -> Dataset:
                                   tuple(classify(scores, threshold)))])
 
 
+def _float_column(d: Dataset, key: str, what: str, name: str) -> list[float]:
+    if not d.has_column(name):
+        raise ValueError(f"{key}: {what} column {name!r} not in dataset")
+    try:
+        return [float(v) for v in d.column(name).values]
+    except ValueError as exc:
+        raise ValueError(f"{key}: {what} column {name!r} is not numeric ({exc})") from None
+
+
+def credit_columns(d: Dataset, cfg: RevenueConfig) -> tuple[list[float], list[float]]:
+    """Per-row credit amounts and interest rates, parsed and range-checked;
+    every error names its config key, so a caller can reject it before any maths."""
+    amounts = _float_column(d, "revenue.amount_column", "credit amount", cfg.amount_column)
+    if any(a < 0 for a in amounts):
+        raise ValueError(f"revenue.amount_column: column {cfg.amount_column!r} "
+                         "holds negative credit amounts")
+    if cfg.interest_rate_column is None:
+        return amounts, [cfg.interest_rate] * d.size
+    rates = _float_column(d, "revenue.interest_rate_column", "interest rate",
+                          cfg.interest_rate_column)
+    if any(not 0.0 <= r <= 1.0 for r in rates):
+        raise ValueError(f"revenue.interest_rate_column: column {cfg.interest_rate_column!r} "
+                         "holds interest rates outside [0, 1]")
+    return amounts, rates
+
+
 def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
           det_cfg: DetectionConfig = DetectionConfig(),
           modes=MODES,
@@ -108,16 +134,7 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
     if len(scores) != d.size:
         raise ValueError("one score per row required")
 
-    amounts = [float(v) for v in d.column(rev_cfg.amount_column).values]
-    if any(a < 0 for a in amounts):
-        raise ValueError(f"column {rev_cfg.amount_column!r} holds negative credit amounts")
-    if rev_cfg.interest_rate_column is not None:
-        rates = [float(v) for v in d.column(rev_cfg.interest_rate_column).values]
-        if any(not 0.0 <= r <= 1.0 for r in rates):
-            raise ValueError(f"column {rev_cfg.interest_rate_column!r} holds "
-                             "interest rates outside [0, 1]")
-    else:
-        rates = [rev_cfg.interest_rate] * d.size
+    amounts, rates = credit_columns(d, rev_cfg)
     outcomes = d.column(d.outcome).values
 
     _, data_risk = run_battery(d, d.outcome, features, nonsensitive, det_cfg, modes)

@@ -6,6 +6,12 @@ columns get one bin per code with rare codes pooled into a rest bin).
 The logistic regression is deterministic by construction: zero init,
 fixed learning rate, fixed iteration count, full-batch gradient descent.
 
+Rows are binned a whole column at a time by `BinningSpec.assign`, the one
+value-to-bin mapping: numeric values by `np.searchsorted` over the edges,
+categorical codes through a code-to-group dict.  Scoring looks each
+column's bins up in that column's row of `Scorecard.points` and adds the
+columns in order.
+
 Score points per column follow
     points = -(coef * woe + intercept / K) * pdo / ln 2 + base_score / K
 so a row whose bins all carry zero WOE scores round(base_score) when the
@@ -17,13 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .tabular import BAD, GOOD, CATEGORICAL, Dataset
+from .tabular import BAD, GOOD, CATEGORICAL, DERIVED, INTEGER, Dataset
 
 NUMERIC = "numeric"
 
@@ -78,23 +84,16 @@ class BinningSpec:
     def n_bins(self) -> int:
         return len(self.woes)
 
-    @cached_property
-    def _code_to_bin(self) -> dict:
-        return {code: i for i, group in enumerate(self.groups) for code in group}
-
-    def bin_index(self, value) -> int:
+    def assign(self, values) -> np.ndarray:
+        """The bin index of every value, in order."""
         if self.kind == NUMERIC:
-            return bisect_right(self.edges, float(value))
-        idx = self._code_to_bin.get(value)
-        if idx is None:
-            if self.rest_bin is None:
-                raise ValueError(f"unseen code {value!r} for column {self.column!r} "
-                                 "and no rest bin to absorb it")
-            return self.rest_bin
-        return idx
-
-    def woe(self, value) -> float:
-        return self.woes[self.bin_index(value)]
+            return np.searchsorted(self.edges, np.asarray(values, dtype=float), side="right")
+        group_of = {code: i for i, group in enumerate(self.groups) for code in group}
+        bins = [group_of.get(v, self.rest_bin) for v in values]
+        if self.rest_bin is None and None in bins:
+            raise ValueError(f"unseen code {values[bins.index(None)]!r} for column "
+                             f"{self.column!r} and no rest bin to absorb it")
+        return np.array(bins, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -124,35 +123,31 @@ class Scorecard:
     def columns(self) -> tuple[str, ...]:
         return tuple(b.column for b in self.binnings)
 
-    def bin_points(self, column_index: int, bin_index: int) -> float:
-        """Score points carried by one bin of one column."""
+    @cached_property
+    def points(self) -> tuple[tuple[float, ...], ...]:
+        """Score points per bin, one row per binned column."""
         k = len(self.binnings)
         factor = self.scaling.pdo / math.log(2)
-        woe = self.binnings[column_index].woes[bin_index]
-        coef = self.coefficients[column_index]
-        return -(coef * woe + self.intercept / k) * factor + self.scaling.base_score / k
-
-    def score(self, row) -> int:
-        """Deterministic integer score of a row (mapping column -> value)."""
-        total = 0.0
-        for i, binning in enumerate(self.binnings):
-            if binning.column not in row:
-                raise ValueError(f"row is missing column {binning.column!r}")
-            total += self.bin_points(i, binning.bin_index(row[binning.column]))
-        return round(total)
+        return tuple(
+            tuple(-(coef * woe + self.intercept / k) * factor + self.scaling.base_score / k
+                  for woe in b.woes)
+            for b, coef in zip(self.binnings, self.coefficients))
 
     def score_dataset(self, d: Dataset) -> list[int]:
-        cols = {b.column: d.column(b.column).values for b in self.binnings}
-        out = []
-        for i in range(d.size):
-            out.append(self.score({name: values[i] for name, values in cols.items()}))
-        return out
+        """Deterministic integer score of every row."""
+        columns = [d.column(b.column).values for b in self.binnings]
+        total = np.zeros(d.size)
+        # column by column, in order, like a per-row sum: np.sum's pairwise
+        # summation could flip a round()
+        for b, points, values in zip(self.binnings, self.points, columns):
+            total += np.array(points)[b.assign(values)]
+        return [round(t) for t in total.tolist()]
 
     # --- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
         bins = []
-        for i, b in enumerate(self.binnings):
+        for b, points in zip(self.binnings, self.points):
             bins.append({
                 "column": b.column,
                 "kind": b.kind,
@@ -161,7 +156,7 @@ class Scorecard:
                 "rest_bin": b.rest_bin,
                 "woes": list(b.woes),
                 "iv": b.iv,
-                "points": [self.bin_points(i, j) for j in range(b.n_bins)],
+                "points": list(points),
             })
         return {
             "format_version": SCORECARD_FORMAT_VERSION,
@@ -239,14 +234,9 @@ def woe_iv_from_counts(good_counts, bad_counts) -> tuple[list[float], float]:
 
 
 def _bin_counts(assignments, n_bins: int, y_bad) -> tuple[list[int], list[int]]:
-    goods = [0] * n_bins
-    bads = [0] * n_bins
-    for a, bad in zip(assignments, y_bad):
-        if bad:
-            bads[a] += 1
-        else:
-            goods[a] += 1
-    return goods, bads
+    goods = np.bincount(assignments[~y_bad], minlength=n_bins)
+    bads = np.bincount(assignments[y_bad], minlength=n_bins)
+    return goods.tolist(), bads.tolist()
 
 
 def fit_bins(column: str, kind: str, values, labels,
@@ -261,7 +251,7 @@ def fit_bins(column: str, kind: str, values, labels,
         raise ValueError(f"labels outside {{good, bad}}: {sorted(distinct_labels - {GOOD, BAD})}")
     if len(distinct_labels) < 2:
         raise ValueError(f"column {column!r}: need both outcome classes to fit bins")
-    y_bad = [label == BAD for label in labels]
+    y_bad = np.array([label == BAD for label in labels], dtype=bool)
 
     if kind == NUMERIC:
         return _fit_numeric(column, values, y_bad, config)
@@ -269,20 +259,19 @@ def fit_bins(column: str, kind: str, values, labels,
 
 
 def _fit_numeric(column, values, y_bad, config) -> BinningSpec:
-    floats = [float(v) for v in values]
-    lo = min(floats)
-    if lo == max(floats):  # constant column: single bin, WOE 0, IV 0
+    floats = np.asarray(values, dtype=float)
+    lo = float(floats.min())
+    if lo == floats.max():  # constant column: single bin, WOE 0, IV 0
         return BinningSpec(column=column, kind=NUMERIC, edges=(), woes=(0.0,), iv=0.0)
 
     qs = [i / config.max_prebins for i in range(1, config.max_prebins)]
-    edges = sorted({float(e) for e in np.quantile(np.array(floats), qs)})
+    edges = sorted({float(e) for e in np.quantile(floats, qs)})
     edges = [e for e in edges if e > lo]  # an edge at the minimum leaves an empty first bin
 
     min_count = config.min_bin_fraction * len(floats)
 
     def counts_for(es):
-        assign = [bisect_right(es, v) for v in floats]
-        return _bin_counts(assign, len(es) + 1, y_bad)
+        return _bin_counts(np.searchsorted(es, floats, side="right"), len(es) + 1, y_bad)
 
     goods, bads = counts_for(edges)
     totals = [g + b for g, b in zip(goods, bads)]
@@ -318,10 +307,8 @@ def _fit_numeric(column, values, y_bad, config) -> BinningSpec:
 
 
 def _fit_categorical(column, values, y_bad, config) -> BinningSpec:
-    codes = sorted(set(values))
-    counts = {c: 0 for c in codes}
-    for v in values:
-        counts[v] += 1
+    counts = Counter(values)
+    codes = sorted(counts)
     min_count = config.min_bin_fraction * len(values)
     frequent = [c for c in codes if counts[c] >= min_count]
     rare = [c for c in codes if counts[c] < min_count]
@@ -336,7 +323,8 @@ def _fit_categorical(column, values, y_bad, config) -> BinningSpec:
         rest_bin = 0
 
     group_index = {code: i for i, g in enumerate(groups) for code in g}
-    assignments = [group_index[v] for v in values]
+    assignments = np.fromiter(map(group_index.__getitem__, values), dtype=np.intp,
+                              count=len(values))
     goods, bads = _bin_counts(assignments, len(groups), y_bad)
     woes, iv = woe_iv_from_counts(goods, bads)
     return BinningSpec(column=column, kind=CATEGORICAL, groups=tuple(groups),
@@ -368,7 +356,7 @@ def fit_scorecard(d: Dataset, config: ScorecardConfig = ScorecardConfig()) -> Sc
     """Fit bins and a deterministic logistic scorecard on a labelled dataset."""
     if config.columns is None:
         columns = [c.name for c in d.columns
-                   if c.name != d.outcome and c.kind != "derived"]
+                   if c.name != d.outcome and c.kind != DERIVED]
     else:
         columns = list(config.columns)
     if not columns:
@@ -378,14 +366,13 @@ def fit_scorecard(d: Dataset, config: ScorecardConfig = ScorecardConfig()) -> Sc
     binnings = []
     for name in columns:
         col = d.column(name)
-        kind = NUMERIC if col.kind == "integer" else CATEGORICAL
+        kind = NUMERIC if col.kind == INTEGER else CATEGORICAL
         binnings.append(fit_bins(name, kind, col.values, labels, config.binning))
 
     n = d.size
     woe_matrix = np.empty((n, len(binnings)))
-    for j, binning in enumerate(binnings):
-        values = d.column(binning.column).values
-        woe_matrix[:, j] = [binning.woe(v) for v in values]
+    for j, b in enumerate(binnings):
+        woe_matrix[:, j] = np.array(b.woes)[b.assign(d.column(b.column).values)]
     y = np.array([1.0 if label == BAD else 0.0 for label in labels])
 
     weights = np.zeros(len(binnings))

@@ -111,9 +111,6 @@ class Dataset:
         except KeyError:
             raise ValueError(f"unknown column {name!r}") from None
 
-    def row(self, index: int) -> dict:
-        return {c.name: c.values[index] for c in self.columns}
-
     def with_columns(self, new: list[Column]) -> "Dataset":
         """Return a dataset with the given columns added or replaced."""
         by_name = {c.name: c for c in new}

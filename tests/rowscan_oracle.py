@@ -1,13 +1,17 @@
-"""Row-scan reference implementations of the detection counting core.
+"""Row-scan reference implementations of the counting and scoring cores.
 
 These are the original per-row versions of `tabular.partition`,
 `tabular.label_distribution` and the subclass enumeration of
-`detection.subclass_double_check`.  They are kept only as a differential
-oracle for the encoded, numpy-based versions (test_counting_oracle.py).
+`detection.subclass_double_check` (test_counting_oracle.py), and of the
+scorecard's value-to-bin mapping and scoring (test_scorecard.py).  They
+are kept only as a differential oracle for the numpy-based versions.
 """
 
+import math
+from bisect import bisect_right
 from itertools import combinations
 
+from fairaudit.scorecard import NUMERIC, BinningSpec, Scorecard
 from fairaudit.tabular import (
     Dataset,
     EmptyClassError,
@@ -62,3 +66,35 @@ def subclass_conditions(d: Dataset, nonsensitive, max_depth: int) -> list:
             observed = sorted({tuple(col[i] for col in cols) for i in range(d.size)})
             out.extend(tuple(zip(combo, values)) for values in observed)
     return out
+
+
+def bin_index(spec: BinningSpec, value) -> int:
+    if spec.kind == NUMERIC:
+        return bisect_right(spec.edges, float(value))
+    code_to_bin = {code: i for i, group in enumerate(spec.groups) for code in group}
+    idx = code_to_bin.get(value)
+    if idx is None:
+        if spec.rest_bin is None:
+            raise ValueError(f"unseen code {value!r} for column {spec.column!r} "
+                             "and no rest bin to absorb it")
+        return spec.rest_bin
+    return idx
+
+
+def score(card: Scorecard, row) -> int:
+    """Integer score of one row (mapping column -> value)."""
+    k = len(card.binnings)
+    factor = card.scaling.pdo / math.log(2)
+    total = 0.0
+    for coef, binning in zip(card.coefficients, card.binnings):
+        if binning.column not in row:
+            raise ValueError(f"row is missing column {binning.column!r}")
+        woe = binning.woes[bin_index(binning, row[binning.column])]
+        total += -(coef * woe + card.intercept / k) * factor + card.scaling.base_score / k
+    return round(total)
+
+
+def score_dataset(card: Scorecard, d: Dataset) -> list[int]:
+    cols = {b.column: d.column(b.column).values for b in card.binnings}
+    return [score(card, {name: values[i] for name, values in cols.items()})
+            for i in range(d.size)]

@@ -316,6 +316,16 @@ def _sweep_case(doc):
     return argv
 
 
+def _negative_amount_case(tmp_path, outputs, german_path):
+    with open(german_path, encoding="ascii") as fh:
+        first, *rest = fh.read().splitlines(keepends=True)
+    fields = first.split()
+    fields[4] = "-" + fields[4]  # Attribute5, the credit amount
+    data = tmp_path / "german.data"
+    data.write_text(" ".join(fields) + "\n" + "".join(rest))
+    return ["sweep", "--scores", os.path.join(outputs, "scores.csv"), "--dataset", str(data)]
+
+
 def _risk_report_case(edit):
     def argv(tmp_path, outputs, german_path):
         with open(os.path.join(outputs, "risk_report_model.json"), encoding="utf-8") as fh:
@@ -350,6 +360,19 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
                                  "not in dataset"),
     "missing_interest_rate_column": (_sweep_case({"revenue": {"interest_rate_column": "nope"}}),
                                      "interest rate column 'nope' not in dataset"),
+    "non_numeric_amount_column": (
+        _sweep_case({"revenue": {"amount_column": "Attribute1"}}),
+        "revenue.amount_column: credit amount column 'Attribute1' is not numeric"),
+    "non_numeric_interest_rate_column": (
+        _sweep_case({"revenue": {"interest_rate_column": "Attribute1"}}),
+        "revenue.interest_rate_column: interest rate column 'Attribute1' is not numeric"),
+    "negative_credit_amount": (_negative_amount_case,
+                               "revenue.amount_column: column 'Attribute5' holds negative "
+                               "credit amounts"),
+    "interest_rates_above_one": (
+        _sweep_case({"revenue": {"interest_rate_column": "Attribute2"}}),
+        "revenue.interest_rate_column: column 'Attribute2' holds interest rates "
+        "outside [0, 1]"),
     "reversed_scores": (_scores_case(lambda rows: rows[::-1]),
                         "line 2: expected row_id 0 and a score, got ['999',"),
     "short_scores_row": (_scores_case(lambda rows: ["0", *rows[1:]]),

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import rowscan_oracle as oracle
 from fairaudit import scorecard as sc
-from fairaudit.tabular import BAD, GOOD, Column, Dataset
+from fairaudit.tabular import BAD, CATEGORICAL, GOOD, INTEGER, Column, Dataset
 
 
 # --- independent WOE/IV oracle: plain dict/loop arithmetic ------------------
@@ -98,7 +99,7 @@ class TestFitBins:
         if len(set(labels)) < 2:
             labels[0], labels[1] = GOOD, BAD
         spec = sc.fit_bins("x", sc.NUMERIC, values, labels)
-        assign = [spec.bin_index(v) for v in values]
+        assign = spec.assign(values).tolist()
         want_woes, want_iv = oracle_woe_iv(assign, labels)
         for b, woe in want_woes.items():
             assert abs(spec.woes[b] - woe) <= 1e-9
@@ -115,7 +116,7 @@ class TestFitBins:
             labels[0], labels[1] = GOOD, BAD
         spec = sc.fit_bins("x", sc.NUMERIC, values, labels,
                            sc.BinningConfig(max_prebins=10, min_bin_fraction=0.05))
-        assign = [spec.bin_index(v) for v in values]
+        assign = spec.assign(values).tolist()
         counts = [assign.count(b) for b in range(spec.n_bins)]
         if spec.n_bins > 1:
             assert min(counts) >= 0.05 * n
@@ -127,6 +128,7 @@ class TestFitBins:
         assert spec.n_bins == 1
         assert spec.woes == (0.0,)
         assert spec.iv == 0.0
+        assert spec.assign([-1, 7, 8.5]).tolist() == [0, 0, 0]
 
     def test_single_class_labels_rejected(self):
         with pytest.raises(ValueError, match="both outcome classes"):
@@ -139,7 +141,7 @@ class TestFitBins:
         assert spec.iv > 0
         # regression pin, cross-checked against the oracle
         assert spec.iv == pytest.approx(0.6660115033513336, abs=1e-12)
-        assign = [spec.bin_index(v) for v in german.column("Attribute1").values]
+        assign = spec.assign(german.column("Attribute1").values).tolist()
         _, want_iv = oracle_woe_iv(assign, german.column("outcome").values)
         assert abs(spec.iv - want_iv) <= 1e-9
 
@@ -163,14 +165,14 @@ class TestFitBins:
         assert ("c", "d") in spec.groups
         assert spec.rest_bin == len(spec.groups) - 1
         # unseen codes fall into the rest bin
-        assert spec.bin_index("zzz") == spec.rest_bin
+        assert spec.assign(["a", "zzz", "c"]).tolist() == [0, spec.rest_bin, spec.rest_bin]
 
     def test_unseen_code_without_rest_bin(self):
         values = ["a"] * 5 + ["b"] * 5
         spec = sc.fit_bins("x", sc.CATEGORICAL, values, two_class_labels(5, 5))
         assert spec.rest_bin is None
-        with pytest.raises(ValueError, match="unseen code"):
-            spec.bin_index("zzz")
+        with pytest.raises(ValueError, match="unseen code 'zzz'"):
+            spec.assign(["a", "zzz", "b"])
 
 
 def tiny_dataset():
@@ -212,30 +214,118 @@ class TestFitScorecard:
         assert {GOOD, BAD} <= set(above)
 
 
+def one_row(d, i, **values):
+    """Row i of d as a one-row dataset, with some values replaced."""
+    return Dataset(columns=tuple(Column(c.name, c.kind, (values.get(c.name, c.values[i]),))
+                                 for c in d.columns), outcome=d.outcome)
+
+
 class TestScore:
-    def test_deterministic(self, card, german):
-        row = german.row(17)
-        assert card.score(row) == card.score(row)
+    def test_deterministic(self, card, german, scores):
+        row = one_row(german, 17)
+        assert card.score_dataset(row) == card.score_dataset(row) == [scores[17]]
 
     def test_zero_woe_gives_base_score(self):
         binning = sc.BinningSpec(column="x", kind=sc.NUMERIC, edges=(1.0,),
                                  woes=(0.0, 0.0), iv=0.0)
         card = sc.Scorecard(binnings=(binning,), coefficients=(1.5,),
                             intercept=0.0, scaling=sc.ScoreScaling(base_score=600.0))
-        assert card.score({"x": 0.0}) == round(600.0)
+        d = Dataset(columns=(Column("x", INTEGER, (0.0,)),
+                             Column("outcome", CATEGORICAL, (GOOD,))), outcome="outcome")
+        assert card.score_dataset(d) == [round(600.0)]
 
     def test_out_of_range_clamps_to_boundary_bin(self, card, german):
-        row = dict(german.row(0))
-        low = dict(row, Attribute13=-1000)   # far below any observed age
-        at_min = dict(row, Attribute13=19)
-        assert card.score(low) == card.score(at_min)
-        high = dict(row, Attribute13=10_000)
-        at_max = dict(row, Attribute13=75)
-        assert card.score(high) == card.score(at_max)
+        def score(age):
+            return card.score_dataset(one_row(german, 0, Attribute13=age))
+
+        assert score(-1000) == score(19)  # far below any observed age
+        assert score(10_000) == score(75)
 
     def test_missing_column(self, card):
-        with pytest.raises(ValueError, match="missing column"):
-            card.score({"Attribute1": "A11"})
+        d = Dataset(columns=(Column("Attribute1", CATEGORICAL, ("A11",)),
+                             Column("outcome", CATEGORICAL, (GOOD,))), outcome="outcome")
+        with pytest.raises(ValueError, match="unknown column 'Attribute2'"):
+            card.score_dataset(d)
+
+
+# --- numpy binning and scoring against the per-row oracle -------------------
+
+_REALS = st.floats(-5, 5)
+_HALVES = st.integers(-6, 6).map(lambda i: i / 2)
+_CODES = ("a", "b", "c", "d", "e")  # "e" is never binned
+
+
+def _numeric_binning(draw, name):
+    edges = tuple(sorted(draw(st.sets(_HALVES, max_size=4))))  # may be empty
+    woes = draw(st.lists(_REALS, min_size=len(edges) + 1, max_size=len(edges) + 1))
+    near = [x for e in edges
+            for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+    # ints and floats exactly on, just below and just above the edges, and beyond them
+    values = st.integers(-10, 10) | _HALVES | st.integers(-2 ** 70, 2 ** 70) | _REALS
+    if near:
+        values |= st.sampled_from(near)
+    return sc.BinningSpec(column=name, kind=sc.NUMERIC, edges=edges, woes=tuple(woes)), values
+
+
+def _categorical_binning(draw, name):
+    codes = tuple(draw(st.permutations(_CODES[:4])))[:draw(st.integers(1, 4))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(codes) - 1), max_size=3))
+                  if len(codes) > 1 else ())
+    groups = tuple(codes[a:b] for a, b in zip([0, *cuts], [*cuts, len(codes)]))
+    rest_bin = draw(st.integers(0, len(groups) - 1)) if draw(st.booleans()) else None
+    woes = draw(st.lists(_REALS, min_size=len(groups), max_size=len(groups)))
+    spec = sc.BinningSpec(column=name, kind=sc.CATEGORICAL, groups=groups,
+                          rest_bin=rest_bin, woes=tuple(woes))
+    return spec, st.sampled_from(_CODES)
+
+
+@st.composite
+def scored_datasets(draw):
+    """(scorecard, dataset holding every binned column)."""
+    n = draw(st.integers(1, 8))
+    binnings, columns = [], []
+    for j in range(draw(st.integers(1, 3))):
+        make = _numeric_binning if draw(st.booleans()) else _categorical_binning
+        spec, values = make(draw, f"x{j}")
+        binnings.append(spec)
+        columns.append(Column(spec.column, INTEGER if spec.kind == sc.NUMERIC else CATEGORICAL,
+                              tuple(draw(st.lists(values, min_size=n, max_size=n)))))
+    card = sc.Scorecard(
+        binnings=tuple(binnings),
+        coefficients=tuple(draw(st.lists(_REALS, min_size=len(binnings),
+                                         max_size=len(binnings)))),
+        intercept=draw(_REALS),
+        scaling=sc.ScoreScaling(pdo=draw(st.floats(1, 100)), base_score=draw(st.floats(0, 1000))))
+    outcome = Column("outcome", CATEGORICAL, (GOOD,) * n)
+    return card, Dataset(columns=(*columns, outcome), outcome="outcome")
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestAgainstRowScan:
+    @given(scored_datasets())
+    def test_assign_and_score_dataset(self, case):
+        card, d = case
+        errors = []
+        for b in card.binnings:
+            values = d.column(b.column).values
+            got = _outcome(lambda: b.assign(values).tolist())
+            assert got == _outcome(lambda: [oracle.bin_index(b, v) for v in values])
+            if got[0] != "ok":
+                errors.append(got)
+        got = _outcome(card.score_dataset, d)
+        if not errors:
+            assert got == ("ok", oracle.score_dataset(card, d))
+        else:
+            # the first column holding an unseen code raises; the row scan
+            # raises at the first row holding one, which may be another column
+            assert got == errors[0]
+            assert _outcome(oracle.score_dataset, card, d) in errors
 
 
 class TestEvaluate:

@@ -114,8 +114,9 @@ class TestDatasetInvariants:
                     outcome="outcome")
 
     def test_rows_give_every_column(self, german_raw):
-        row = german_raw.row(0)
-        assert set(row) == {c.name for c in german_raw.columns}
+        assert [c.name for c in german_raw.columns] == [
+            *(f"Attribute{i}" for i in range(1, 21)), "outcome"]
+        assert {len(c.values) for c in german_raw.columns} == {german_raw.size}
 
 
 class TestDeriveSensitive:
