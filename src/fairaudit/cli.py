@@ -104,6 +104,11 @@ def _config_from_args(args) -> AuditConfig:
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     d = _load_dataset(cfg)
+    for name in cfg.scorecard.columns or ():
+        if name == d.outcome:
+            raise ConfigError(f"scorecard.columns: {name!r} is the outcome column")
+        if not d.has_column(name):
+            raise ConfigError(f"scorecard.columns: unknown column {name!r}")
     sc = fit_scorecard(d, cfg.scorecard)
     scores = sc.score_dataset(d)
     labels = d.column(d.outcome).values

@@ -101,6 +101,10 @@ def _overlay(base, doc, where: str):
     try:
         return replace(base, **changes)
     except ValueError as exc:
+        # a check that names its field as "<field>: <reason>" points at that key
+        name, sep, reason = str(exc).partition(": ")
+        if sep and name in {f.name for f in fields(base)}:
+            raise ConfigError(f"{where}.{name}".lstrip(".") + f": {reason}") from exc
         raise ConfigError(f"{where or 'config'}: {exc}") from exc
 
 

@@ -5,6 +5,10 @@ a minimum share of rows and the WOE sequence is monotone (categorical
 columns get one bin per code with rare codes pooled into a rest bin).
 The logistic regression is deterministic by construction: zero init,
 fixed learning rate, fixed iteration count, full-batch gradient descent.
+It runs on the distinct bin rows (rows whose bins agree in every column),
+each weighted by how many rows it stands for and how many of them are
+bad, which gives the per-row gradient and loss up to float summation
+order.
 
 Rows are binned a whole column at a time by `BinningSpec.assign`, the one
 value-to-bin mapping: numeric values by `np.searchsorted` over the edges,
@@ -29,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tabular import BAD, GOOD, CATEGORICAL, DERIVED, INTEGER, Dataset
+from .tabular import BAD, GOOD, CATEGORICAL, DERIVED, INTEGER, Dataset, group_rows
 
 NUMERIC = "numeric"
 
@@ -346,6 +350,13 @@ class ScorecardConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.iterations < 1:
             raise ValueError("invalid gradient-descent configuration")
+        if self.columns is not None:
+            if not self.columns:
+                raise ValueError("columns: empty list (leave the key out to fit on "
+                                 "every input column)")
+            twice = [c for i, c in enumerate(self.columns) if c in self.columns[:i]]
+            if twice:
+                raise ValueError(f"columns: {twice[0]!r} is listed twice")
 
 
 def _sigmoid(z):
@@ -363,29 +374,36 @@ def fit_scorecard(d: Dataset, config: ScorecardConfig = ScorecardConfig()) -> Sc
         raise ValueError("no usable columns to fit on")
 
     labels = list(d.column(d.outcome).values)
-    binnings = []
+    binnings, encodings = [], []
     for name in columns:
         col = d.column(name)
         kind = NUMERIC if col.kind == INTEGER else CATEGORICAL
         binnings.append(fit_bins(name, kind, col.values, labels, config.binning))
+        encodings.append(col.encoded)
+    # each distinct value is binned once; row i's bin is value_bins[codes[i]]
+    value_bins = [b.assign(enc.uniques) for b, enc in zip(binnings, encodings)]
+
+    # One row of WOEs per distinct bin combination, weighted by its row count
+    # and bad count: the gradient and loss sums of a per-row fit, grouped.
+    first_rows, group = group_rows(d.size, ((vb[enc.codes], b.n_bins) for b, enc, vb
+                                            in zip(binnings, encodings, value_bins)))
+    woe_matrix = np.column_stack([np.array(b.woes)[vb[enc.codes[first_rows]]] for b, enc, vb
+                                  in zip(binnings, encodings, value_bins)])
+    count = np.bincount(group).astype(float)
+    bad = np.bincount(group, weights=[1.0 if label == BAD else 0.0 for label in labels])
 
     n = d.size
-    woe_matrix = np.empty((n, len(binnings)))
-    for j, b in enumerate(binnings):
-        woe_matrix[:, j] = np.array(b.woes)[b.assign(d.column(b.column).values)]
-    y = np.array([1.0 if label == BAD else 0.0 for label in labels])
-
     weights = np.zeros(len(binnings))
     intercept = 0.0
     lr = config.learning_rate
     for _ in range(config.iterations):
         p = _sigmoid(woe_matrix @ weights + intercept)
-        err = p - y
+        err = count * p - bad
         weights = weights - lr * (woe_matrix.T @ err) / n
-        intercept = intercept - lr * float(np.mean(err))
+        intercept = intercept - lr * (float(err.sum()) / n)
 
     p = np.clip(_sigmoid(woe_matrix @ weights + intercept), 1e-12, 1.0 - 1e-12)
-    loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    loss = float(-(bad @ np.log(p) + (count - bad) @ np.log(1.0 - p)) / n)
 
     return Scorecard(binnings=tuple(binnings),
                      coefficients=tuple(float(w) for w in weights),
@@ -403,31 +421,20 @@ def classify(scores, threshold: int) -> list[str]:
 
 def evaluate(scores, labels, threshold: int) -> ScoreMetrics:
     """ROC over all distinct score cutoffs, trapezoidal AUC, Gini = 2*AUC - 1."""
-    scores = list(scores)
-    labels = list(labels)
-    if len(scores) != len(labels):
+    scores = np.asarray(list(scores))
+    good = np.array([l == GOOD for l in labels], dtype=bool)
+    if len(scores) != len(good):
         raise ValueError("scores and labels differ in length")
-    n_good = sum(1 for l in labels if l == GOOD)
-    n_bad = len(labels) - n_good
+    n_good = int(good.sum())
+    n_bad = len(good) - n_good
     if n_good == 0 or n_bad == 0:
         raise ValueError("both outcome classes must be present to evaluate")
 
-    by_score: dict = {}
-    for s, l in zip(scores, labels):
-        g, b = by_score.get(s, (0, 0))
-        if l == GOOD:
-            g += 1
-        else:
-            b += 1
-        by_score[s] = (g, b)
-
-    roc = [(0.0, 0.0)]
-    cum_g = cum_b = 0
-    for s in sorted(by_score, reverse=True):  # predict good at score >= cutoff
-        g, b = by_score[s]
-        cum_g += g
-        cum_b += b
-        roc.append((cum_b / n_bad, cum_g / n_good))
+    # predict good at score >= cutoff: cutoffs from the highest score down
+    cutoffs, group = np.unique(scores, return_inverse=True)
+    cum_g = np.cumsum(np.bincount(group[good], minlength=len(cutoffs))[::-1])
+    cum_b = np.cumsum(np.bincount(group[~good], minlength=len(cutoffs))[::-1])
+    roc = [(0.0, 0.0), *zip((cum_b / n_bad).tolist(), (cum_g / n_good).tolist())]
 
     auc = math.fsum((x1 - x0) * (y1 + y0) / 2.0
                     for (x0, y0), (x1, y1) in zip(roc, roc[1:]))

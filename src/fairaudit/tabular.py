@@ -69,6 +69,24 @@ class Column:
         return Encoding(uniques, index, codes)
 
 
+def group_rows(size: int, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Group `size` rows by their joint code over several columns.
+
+    `keys` yields one `(codes, n_codes)` pair per column, with every code
+    in `[0, n_codes)`.  The codes are folded into one int64 key per row,
+    re-ranked after each column so it stays below `size`.  Returns
+    `(first_rows, group)`: `group[i]` is the rank of row i's code tuple
+    among the distinct tuples in sorted order, and `first_rows[g]` is the
+    first row of group g.
+    """
+    group = np.zeros(size, dtype=np.int64)
+    first_rows = np.zeros(min(size, 1), dtype=np.intp)
+    for codes, n_codes in keys:
+        _, first_rows, group = np.unique(group * n_codes + codes,
+                                         return_index=True, return_inverse=True)
+    return first_rows, group
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable labelled table.

@@ -3,16 +3,29 @@
 These are the original per-row versions of `tabular.partition`,
 `tabular.label_distribution` and the subclass enumeration of
 `detection.subclass_double_check` (test_counting_oracle.py), and of the
-scorecard's value-to-bin mapping and scoring (test_scorecard.py).  They
-are kept only as a differential oracle for the numpy-based versions.
+scorecard's value-to-bin mapping, logistic fit and scoring
+(test_scorecard.py).  They are kept only as a differential oracle for the
+numpy-based versions.
 """
 
 import math
 from bisect import bisect_right
 from itertools import combinations
 
-from fairaudit.scorecard import NUMERIC, BinningSpec, Scorecard
+import numpy as np
+
+from fairaudit.scorecard import (
+    CATEGORICAL,
+    NUMERIC,
+    BinningSpec,
+    Scorecard,
+    ScorecardConfig,
+    fit_bins,
+)
 from fairaudit.tabular import (
+    BAD,
+    DERIVED,
+    INTEGER,
     Dataset,
     EmptyClassError,
     FeaturePartition,
@@ -98,3 +111,45 @@ def score_dataset(card: Scorecard, d: Dataset) -> list[int]:
     cols = {b.column: d.column(b.column).values for b in card.binnings}
     return [score(card, {name: values[i] for name, values in cols.items()})
             for i in range(d.size)]
+
+
+def fit_scorecard(d: Dataset, config: ScorecardConfig = ScorecardConfig()) -> Scorecard:
+    """Full-batch gradient descent over the whole per-row WOE matrix."""
+    if config.columns is None:
+        columns = [c.name for c in d.columns
+                   if c.name != d.outcome and c.kind != DERIVED]
+    else:
+        columns = list(config.columns)
+    if not columns:
+        raise ValueError("no usable columns to fit on")
+
+    labels = list(d.column(d.outcome).values)
+    binnings = []
+    for name in columns:
+        col = d.column(name)
+        kind = NUMERIC if col.kind == INTEGER else CATEGORICAL
+        binnings.append(fit_bins(name, kind, col.values, labels, config.binning))
+
+    n = d.size
+    woe_matrix = np.empty((n, len(binnings)))
+    for j, b in enumerate(binnings):
+        woe_matrix[:, j] = [b.woes[bin_index(b, v)] for v in d.column(b.column).values]
+    y = np.array([1.0 if label == BAD else 0.0 for label in labels])
+
+    weights = np.zeros(len(binnings))
+    intercept = 0.0
+    lr = config.learning_rate
+    for _ in range(config.iterations):
+        p = 1.0 / (1.0 + np.exp(-(woe_matrix @ weights + intercept)))
+        err = p - y
+        weights = weights - lr * (woe_matrix.T @ err) / n
+        intercept = intercept - lr * float(np.mean(err))
+
+    p = np.clip(1.0 / (1.0 + np.exp(-(woe_matrix @ weights + intercept))), 1e-12, 1.0 - 1e-12)
+    loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+    return Scorecard(binnings=tuple(binnings),
+                     coefficients=tuple(float(w) for w in weights),
+                     intercept=float(intercept),
+                     scaling=config.scaling,
+                     final_loss=loss)

@@ -353,6 +353,16 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
                             "sensitive_features: expected a list"),
     "string_iterations": (_config_case({"scorecard": {"iterations": "10"}}, ("train",)),
                           'scorecard.iterations: expected int, got "10"'),
+    "unknown_scorecard_column": (_config_case({"scorecard": {"columns": ["nope"]}}, ("train",)),
+                                 "scorecard.columns: unknown column 'nope'"),
+    "empty_scorecard_columns": (_config_case({"scorecard": {"columns": []}}, ("train",)),
+                                "scorecard.columns: empty list"),
+    "outcome_as_scorecard_column": (
+        _config_case({"scorecard": {"columns": ["outcome"]}}, ("train",)),
+        "scorecard.columns: 'outcome' is the outcome column"),
+    "duplicate_scorecard_column": (
+        _config_case({"scorecard": {"columns": ["Attribute1", "Attribute1"]}}, ("train",)),
+        "scorecard.columns: 'Attribute1' is listed twice"),
     "integer_sensitive_column": (_config_case({"sensitive_features": ["Attribute5"]}),
                                  "'Attribute5' is an integer column"),
     "csv_keeps_builtin_gender": (_csv_case({"conditioning_columns": ["income"]}),

@@ -328,6 +328,73 @@ class TestAgainstRowScan:
             assert _outcome(oracle.score_dataset, card, d) in errors
 
 
+
+# --- weighted fit on distinct bin rows against the per-row fit --------------
+
+def assert_same_fit(d, config=sc.ScorecardConfig(), card=None):
+    """The per-row fit up to float summation order: the same bins and scores,
+    the final loss within 1e-12 relative, and coefficients and intercept
+    within 1e-12 of the largest of them (a parameter whose gradient sums
+    cancel may end at 0.0 in one fit and at 4e-18 in the other)."""
+    got = sc.fit_scorecard(d, config) if card is None else card
+    want = oracle.fit_scorecard(d, config)
+    assert got.binnings == want.binnings
+    params = (*got.coefficients, got.intercept)
+    want_params = (*want.coefficients, want.intercept)
+    scale = max(map(abs, want_params))
+    for a, b in zip(params, want_params):
+        assert abs(a - b) <= 1e-12 * scale
+    assert abs(got.final_loss - want.final_loss) <= 1e-12 * want.final_loss
+    assert got.score_dataset(d) == want.score_dataset(d)
+
+
+def resample(d, n, seed):
+    rng = random.Random(seed)
+    rows = [rng.randrange(d.size) for _ in range(n)]
+    return Dataset(columns=tuple(Column(c.name, c.kind, tuple(c.values[i] for i in rows))
+                                 for c in d.columns), outcome=d.outcome)
+
+
+@st.composite
+def fit_cases(draw):
+    """(dataset, config) with 1-3 input columns whose rows are either all
+    distinct or a few distinct rows repeated under mixed labels."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kinds = draw(st.lists(st.sampled_from([INTEGER, CATEGORICAL]), min_size=1, max_size=3))
+    n = draw(st.integers(10, 300))
+    if draw(st.booleans()):  # all distinct: the first column never repeats
+        protos = [[i] + [rng.randint(0, 3) for _ in kinds[1:]] for i in range(n)]
+        rng.shuffle(protos)
+        kinds[0] = INTEGER
+    else:
+        distinct = [[rng.randint(0, 3) for _ in kinds] for _ in range(draw(st.integers(1, 6)))]
+        protos = [rng.choice(distinct) for _ in range(n)]
+    labels = [GOOD, BAD] + [GOOD if rng.random() < 0.6 else BAD for _ in range(n - 2)]
+    columns = tuple(Column(f"x{j}", kind, tuple(row[j] if kind == INTEGER else "abcd"[row[j]]
+                                                for row in protos))
+                    for j, kind in enumerate(kinds))
+    d = Dataset(columns=(*columns, Column("outcome", CATEGORICAL, tuple(labels))),
+                outcome="outcome")
+    config = sc.ScorecardConfig(
+        binning=sc.BinningConfig(max_prebins=draw(st.integers(1, 10)),
+                                 min_bin_fraction=draw(st.sampled_from([0.0, 0.05, 0.2]))),
+        learning_rate=draw(st.sampled_from([0.05, 0.1, 0.5])),
+        iterations=draw(st.integers(1, 200)))
+    return d, config
+
+
+class TestFitAgainstRowScan:
+    def test_german_default_config(self, german, card):
+        assert_same_fit(german, card=card)
+
+    def test_resample_with_conflicting_duplicates(self, german_raw):
+        assert_same_fit(resample(german_raw, 5000, seed=8))
+
+    @given(fit_cases())
+    def test_random_datasets(self, case):
+        assert_same_fit(*case)
+
+
 class TestEvaluate:
     def test_uninformative_scores(self):
         m = sc.evaluate([500] * 10, two_class_labels(6, 4), 550)
