@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import jsonschema
-
 from . import report as rp
 from . import revenue as rv
 from .config import AuditConfig, ConfigError, CSV_FORMAT, GERMAN_FORMAT, load_config
@@ -49,6 +47,8 @@ def _load_dataset(cfg: AuditConfig) -> Dataset:
         return load_german_credit(ds.path)
     except ParseError as exc:
         raise ConfigError(f"cannot parse dataset {ds.path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode dataset {ds.path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {ds.path}: {exc}") from exc
 
@@ -84,6 +84,8 @@ def _read_scores(path: str | None, expected_rows: int) -> list[int]:
         raise ConfigError(f"scores file not found: {path}")
     try:
         scores = rp.read_scores_csv(path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode scores file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if len(scores) != expected_rows:
@@ -174,9 +176,11 @@ def cmd_compare(args) -> int:
         try:
             with open(path, encoding="utf-8") as fh:
                 risk, target = rp.risk_report_from_dict(json.load(fh))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot decode risk report {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        except jsonschema.ValidationError as exc:
+        except rp.validation_error() as exc:
             raise ConfigError(f"{path} is not a valid risk report: {exc.message}") from exc
         if target != expect_target:
             raise ValueError(f"{path} holds a {target!r} risk report, expected {expect_target!r}")

@@ -3,11 +3,13 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fairaudit import scorecard, tabular
+from fairaudit import cli, scorecard, tabular
 
 settings.register_profile(
     "ci", derandomize=True, deadline=None, max_examples=60,
     suppress_health_check=[HealthCheck.too_slow])
+# the schema differential test runs this one on its own in CI
+settings.register_profile("deep", parent=settings.get_profile("ci"), max_examples=2000)
 settings.load_profile("ci")
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,3 +39,18 @@ def card(german):
 @pytest.fixture(scope="session")
 def scores(card, german):
     return card.score_dataset(german)
+
+
+@pytest.fixture(scope="session")
+def outputs(tmp_path_factory):
+    """One default CLI pipeline (sweep included), shared read-only by the tests."""
+    out = str(tmp_path_factory.mktemp("cli_out"))
+    scores = os.path.join(out, "scores.csv")
+    for argv in (["train"],
+                 ["audit", "--target", "data"],
+                 ["audit", "--target", "model", "--scores", scores],
+                 ["sweep", "--scores", scores]):
+        assert cli.main([*argv, "--dataset", GERMAN_PATH, "--out", out]) == 0
+    assert cli.main(["compare", os.path.join(out, "risk_report_model.json"),
+                     os.path.join(out, "risk_report_data.json"), "--out", out]) == 0
+    return out

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -19,20 +21,6 @@ def run(*argv):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory, german_path):
-    """One full CLI pipeline shared by the read-only CLI assertions."""
-    out = str(tmp_path_factory.mktemp("cli_out"))
-    assert run("train", "--dataset", german_path, "--out", out) == 0
-    scores = os.path.join(out, "scores.csv")
-    assert run("audit", "--target", "data", "--dataset", german_path, "--out", out) == 0
-    assert run("audit", "--target", "model", "--scores", scores,
-               "--dataset", german_path, "--out", out) == 0
-    assert run("compare", os.path.join(out, "risk_report_model.json"),
-               os.path.join(out, "risk_report_data.json"), "--out", out) == 0
-    return out
 
 
 class TestTrain:
@@ -336,6 +324,36 @@ def _risk_report_case(edit):
     return argv
 
 
+def _with_ff(data: bytes) -> bytes:
+    """`data` with a 0xff byte after its first ten: neither ASCII nor UTF-8."""
+    return data[:10] + b"\xff" + data[10:]
+
+
+def _undecodable_config(tmp_path, outputs, german_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(_with_ff(b'{"version": 1}'))
+    return ["audit", "--target", "data", "--config", str(cfg_path), "--dataset", german_path]
+
+
+def _undecodable_csv(tmp_path, outputs, german_path):
+    argv = _csv_case({"sensitive_features": ["group"]})(tmp_path, outputs, german_path)
+    data = tmp_path / "generic.csv"
+    data.write_bytes(_with_ff(data.read_bytes()))
+    return argv
+
+
+def _undecodable_copy(name, command):
+    """`command(bad, outputs, german_path)` run on a copy of the German file or
+    of output `name` that holds a 0xff byte."""
+    def argv(tmp_path, outputs, german_path):
+        source = german_path if name == "german.data" else os.path.join(outputs, name)
+        bad = tmp_path / name
+        with open(source, "rb") as fh:
+            bad.write_bytes(_with_ff(fh.read()))
+        return command(str(bad), outputs, german_path)
+    return argv
+
+
 MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
     "reversed_interval": (_config_case({"detection": {"intervals": {"high": [0.3, 0.1]}}}),
                           "detection: invalid threshold interval for 'high'"),
@@ -393,6 +411,22 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "overall"})),
         "'overall' is a required property"),
     "risk_report_invalid_json": (_risk_report_case(lambda text: text[:-5]), "not valid JSON"),
+    "undecodable_config": (_undecodable_config,
+                           "cfg.json: 'utf-8' codec can't decode byte 0xff"),
+    "undecodable_german_dataset": (
+        _undecodable_copy("german.data", lambda bad, outputs, german_path: [
+            "audit", "--target", "data", "--dataset", bad]),
+        "german.data: 'ascii' codec can't decode byte 0xff"),
+    "undecodable_csv_dataset": (_undecodable_csv,
+                                "generic.csv: 'utf-8' codec can't decode byte 0xff"),
+    "undecodable_scores": (
+        _undecodable_copy("scores.csv", lambda bad, outputs, german_path: [
+            "audit", "--target", "model", "--scores", bad, "--dataset", german_path]),
+        "scores.csv: 'utf-8' codec can't decode byte 0xff"),
+    "undecodable_risk_report": (
+        _undecodable_copy("risk_report_model.json", lambda bad, outputs, german_path: [
+            "compare", bad, os.path.join(outputs, "risk_report_data.json")]),
+        "risk_report_model.json: 'utf-8' codec can't decode byte 0xff"),
 }
 
 
@@ -410,6 +444,25 @@ class TestMalformedInputs:
         assert message in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+
+class TestStartup:
+    def test_cli_and_compare_do_not_import_jsonschema(self, outputs, tmp_path):
+        program = ("import sys\n"
+                   "import fairaudit.cli\n"
+                   "assert 'jsonschema' not in sys.modules, 'loaded by the import'\n"
+                   "assert fairaudit.cli.main(sys.argv[1:]) == 0\n"
+                   "assert 'jsonschema' not in sys.modules, 'loaded by compare'\n")
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-c", program, "compare",
+             os.path.join(outputs, "risk_report_model.json"),
+             os.path.join(outputs, "risk_report_data.json"), "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "hazard_comparison.json").exists()
 
 
 class TestReportHelpers:
