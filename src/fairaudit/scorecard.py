@@ -3,6 +3,8 @@
 Binning is quantile pre-binning plus greedy merging until every bin holds
 a minimum share of rows and the WOE sequence is monotone (categorical
 columns get one bin per code with rare codes pooled into a rest bin).
+It works on a column's count table, the good and bad row count of each
+distinct value, which `fit_scorecard` takes from the column's encoding.
 The logistic regression is deterministic by construction: zero init,
 fixed learning rate, fixed iteration count, full-batch gradient descent.
 It runs on the distinct bin rows (rows whose bins agree in every column),
@@ -10,9 +12,10 @@ each weighted by how many rows it stands for and how many of them are
 bad, which gives the per-row gradient and loss up to float summation
 order.
 
-Rows are binned a whole column at a time by `BinningSpec.assign`, the one
-value-to-bin mapping: numeric values by `np.searchsorted` over the edges,
-categorical codes through a code-to-group dict.  Scoring looks each
+`BinningSpec.assign` is the one value-to-bin mapping: numeric values by
+`np.searchsorted` over the edges, categorical codes through a
+code-to-group dict.  The fit and the scoring bin each column's distinct
+values once and index the result by the rows' codes.  Scoring looks each
 column's bins up in that column's row of `Scorecard.points` and adds the
 columns in order.
 
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -139,12 +141,19 @@ class Scorecard:
 
     def score_dataset(self, d: Dataset) -> list[int]:
         """Deterministic integer score of every row."""
-        columns = [d.column(b.column).values for b in self.binnings]
+        columns = [d.column(b.column) for b in self.binnings]
         total = np.zeros(d.size)
         # column by column, in order, like a per-row sum: np.sum's pairwise
         # summation could flip a round()
-        for b, points, values in zip(self.binnings, self.points, columns):
-            total += np.array(points)[b.assign(values)]
+        for b, points, col in zip(self.binnings, self.points, columns):
+            enc = col.encoded
+            try:
+                value_bins = b.assign(enc.uniques)
+            except ValueError:
+                # report the first row's unseen value, not the smallest one
+                b.assign(col.values)
+                raise
+            total += np.array(points)[value_bins[enc.codes]]
         return [round(t) for t in total.tolist()]
 
     # --- serialization ----------------------------------------------------
@@ -237,45 +246,44 @@ def woe_iv_from_counts(good_counts, bad_counts) -> tuple[list[float], float]:
     return woes, math.fsum(iv_terms)
 
 
-def _bin_counts(assignments, n_bins: int, y_bad) -> tuple[list[int], list[int]]:
-    goods = np.bincount(assignments[~y_bad], minlength=n_bins)
-    bads = np.bincount(assignments[y_bad], minlength=n_bins)
-    return goods.tolist(), bads.tolist()
-
-
-def fit_bins(column: str, kind: str, values, labels,
+def fit_bins(column: str, kind: str, uniques, goods, bads,
              config: BinningConfig = BinningConfig()) -> BinningSpec:
-    """Fit the binning of one column against good/bad labels."""
-    values = list(values)
-    labels = list(labels)
-    if len(values) != len(labels):
-        raise ValueError("values and labels differ in length")
-    distinct_labels = set(labels)
-    if not distinct_labels <= {GOOD, BAD}:
-        raise ValueError(f"labels outside {{good, bad}}: {sorted(distinct_labels - {GOOD, BAD})}")
-    if len(distinct_labels) < 2:
+    """Fit the binning of one column from its count table: the sorted
+    distinct values `uniques` and the good and bad row count of each."""
+    goods = np.asarray(goods, dtype=np.int64)
+    bads = np.asarray(bads, dtype=np.int64)
+    if not len(uniques) == len(goods) == len(bads):
+        raise ValueError("distinct values and count tables differ in length")
+    if not goods.sum() or not bads.sum():
         raise ValueError(f"column {column!r}: need both outcome classes to fit bins")
-    y_bad = np.array([label == BAD for label in labels], dtype=bool)
 
     if kind == NUMERIC:
-        return _fit_numeric(column, values, y_bad, config)
-    return _fit_categorical(column, values, y_bad, config)
+        return _fit_numeric(column, uniques, goods, bads, config)
+    return _fit_categorical(column, uniques, goods, bads, config)
 
 
-def _fit_numeric(column, values, y_bad, config) -> BinningSpec:
-    floats = np.asarray(values, dtype=float)
-    lo = float(floats.min())
-    if lo == floats.max():  # constant column: single bin, WOE 0, IV 0
+def _sum_by_bin(bins, n_bins: int, goods, bads) -> tuple[list[int], list[int]]:
+    """Good and bad counts per bin, given the bin of each distinct value."""
+    return tuple(np.bincount(bins, weights=counts, minlength=n_bins).astype(np.int64).tolist()
+                 for counts in (goods, bads))
+
+
+def _fit_numeric(column, uniques, value_goods, value_bads, config) -> BinningSpec:
+    floats = np.asarray(uniques, dtype=float)  # sorted, so non-decreasing
+    lo = float(floats[0])
+    if lo == floats[-1]:  # constant column: single bin, WOE 0, IV 0
         return BinningSpec(column=column, kind=NUMERIC, edges=(), woes=(0.0,), iv=0.0)
 
+    rows = np.repeat(floats, value_goods + value_bads)  # every row's value, sorted
     qs = [i / config.max_prebins for i in range(1, config.max_prebins)]
-    edges = sorted({float(e) for e in np.quantile(floats, qs)})
+    edges = sorted({float(e) for e in np.quantile(rows, qs)})
     edges = [e for e in edges if e > lo]  # an edge at the minimum leaves an empty first bin
 
-    min_count = config.min_bin_fraction * len(floats)
+    min_count = config.min_bin_fraction * len(rows)
 
     def counts_for(es):
-        return _bin_counts(np.searchsorted(es, floats, side="right"), len(es) + 1, y_bad)
+        return _sum_by_bin(np.searchsorted(es, floats, side="right"), len(es) + 1,
+                           value_goods, value_bads)
 
     goods, bads = counts_for(edges)
     totals = [g + b for g, b in zip(goods, bads)]
@@ -310,12 +318,11 @@ def _fit_numeric(column, values, y_bad, config) -> BinningSpec:
                        woes=tuple(woes), iv=iv)
 
 
-def _fit_categorical(column, values, y_bad, config) -> BinningSpec:
-    counts = Counter(values)
-    codes = sorted(counts)
-    min_count = config.min_bin_fraction * len(values)
-    frequent = [c for c in codes if counts[c] >= min_count]
-    rare = [c for c in codes if counts[c] < min_count]
+def _fit_categorical(column, uniques, goods, bads, config) -> BinningSpec:
+    counts = (goods + bads).tolist()
+    min_count = config.min_bin_fraction * sum(counts)
+    frequent = [c for c, n in zip(uniques, counts) if n >= min_count]
+    rare = [c for c, n in zip(uniques, counts) if n < min_count]
 
     groups = [(c,) for c in frequent]
     rest_bin = None
@@ -327,9 +334,7 @@ def _fit_categorical(column, values, y_bad, config) -> BinningSpec:
         rest_bin = 0
 
     group_index = {code: i for i, g in enumerate(groups) for code in g}
-    assignments = np.fromiter(map(group_index.__getitem__, values), dtype=np.intp,
-                              count=len(values))
-    goods, bads = _bin_counts(assignments, len(groups), y_bad)
+    goods, bads = _sum_by_bin([group_index[c] for c in uniques], len(groups), goods, bads)
     woes, iv = woe_iv_from_counts(goods, bads)
     return BinningSpec(column=column, kind=CATEGORICAL, groups=tuple(groups),
                        rest_bin=rest_bin, woes=tuple(woes), iv=iv)
@@ -373,13 +378,20 @@ def fit_scorecard(d: Dataset, config: ScorecardConfig = ScorecardConfig()) -> Sc
     if not columns:
         raise ValueError("no usable columns to fit on")
 
-    labels = list(d.column(d.outcome).values)
+    outcome = d.column(d.outcome).encoded
+    y_bad = outcome.codes == outcome.index.get(BAD, -1)
+    y_good = ~y_bad
     binnings, encodings = [], []
     for name in columns:
         col = d.column(name)
+        enc = col.encoded
         kind = NUMERIC if col.kind == INTEGER else CATEGORICAL
-        binnings.append(fit_bins(name, kind, col.values, labels, config.binning))
-        encodings.append(col.encoded)
+        n_values = len(enc.uniques)
+        binnings.append(fit_bins(name, kind, enc.uniques,
+                                 np.bincount(enc.codes[y_good], minlength=n_values),
+                                 np.bincount(enc.codes[y_bad], minlength=n_values),
+                                 config.binning))
+        encodings.append(enc)
     # each distinct value is binned once; row i's bin is value_bins[codes[i]]
     value_bins = [b.assign(enc.uniques) for b, enc in zip(binnings, encodings)]
 
@@ -390,7 +402,7 @@ def fit_scorecard(d: Dataset, config: ScorecardConfig = ScorecardConfig()) -> Sc
     woe_matrix = np.column_stack([np.array(b.woes)[vb[enc.codes[first_rows]]] for b, enc, vb
                                   in zip(binnings, encodings, value_bins)])
     count = np.bincount(group).astype(float)
-    bad = np.bincount(group, weights=[1.0 if label == BAD else 0.0 for label in labels])
+    bad = np.bincount(group, weights=y_bad)
 
     n = d.size
     weights = np.zeros(len(binnings))

@@ -1,7 +1,8 @@
 """Typed tabular data: loaders, sensitive-feature derivation, partitions.
 
 The German Credit loader understands the classic whitespace-separated,
-A-coded file (21 fields per line, label 1=good / 2=bad).  A generic CSV
+A-coded file (21 fields per line, label 1=good / 2=bad); it checks and
+builds the data a column at a time, not a field at a time.  A generic CSV
 loader keeps the engine model-agnostic.  Datasets are immutable after
 load; "mutating" helpers return new Dataset objects sharing column data.
 Each column encodes itself once, on first use, as integer codes over its
@@ -230,48 +231,74 @@ _CODE_DOMAINS = {
 _INTEGER_ATTRS = {"Attribute2", "Attribute5", "Attribute8", "Attribute11",
                   "Attribute13", "Attribute16", "Attribute18"}
 _ATTRS = tuple(f"Attribute{i}" for i in range(1, 21))
+_LABELS = {"1": GOOD, "2": BAD}
 
 
 def load_german_credit(path) -> Dataset:
-    """Load the UCI-format German Credit file (A-coded, 21 fields/line)."""
+    """Load the UCI-format German Credit file (A-coded, 21 fields/line).
+
+    Each line is split once and its field count checked; the fields go
+    into one flat list, from which the columns are checked and built one
+    at a time.  Every row of a code column shares one string per code.
+    When several lines are malformed, the first error in row order is
+    reported: on that line, a wrong field count before any field, and
+    fields left to right.
+    """
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
-
-    raw: list[list] = []
-    outcome: list[str] = []
-    n_parsed = 0
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split()
-        if not fields:
-            raise ParseError(f"line {lineno}: blank line")
-        if len(fields) != 21:
-            raise ParseError(f"line {lineno}: expected 21 fields, got {len(fields)}")
-        rec = []
-        for attr, value in zip(_ATTRS, fields[:20]):
-            if attr in _INTEGER_ATTRS:
-                try:
-                    rec.append(int(value))
-                except ValueError:
-                    raise ParseError(f"line {lineno}: non-integer value {value!r} for {attr}") from None
-            else:
-                if value not in _CODE_DOMAINS[attr]:
-                    raise ParseError(f"line {lineno}: unknown code {value!r} for {attr}")
-                rec.append(value)
-        if fields[20] not in ("1", "2"):
-            raise ParseError(f"line {lineno}: label must be 1 or 2, got {fields[20]!r}")
-        outcome.append(GOOD if fields[20] == "1" else BAD)
-        raw.append(rec)
-        n_parsed += 1
-    if n_parsed == 0:
+    if not lines:
         raise ParseError(f"{path}: empty file")
 
-    columns = [
-        Column(attr, INTEGER if attr in _INTEGER_ATTRS else CATEGORICAL,
-               tuple(rec[i] for rec in raw))
-        for i, attr in enumerate(_ATTRS)
-    ]
-    columns.append(Column("outcome", CATEGORICAL, tuple(outcome)))
+    # (row, field, message) of the first failure of each check; field -1 is
+    # the field count, and only the rows above a bad one are checked further
+    failures = []
+    flat = []
+    for row, line in enumerate(lines):
+        fields = line.split()
+        if len(fields) != 21:
+            problem = f"expected 21 fields, got {len(fields)}" if fields else "blank line"
+            failures.append((row, -1, problem))
+            break
+        flat += fields
+    del lines
+
+    columns = []
+    for j, attr in enumerate(_ATTRS):
+        raw = flat[j::21]
+        if attr in _INTEGER_ATTRS:
+            try:
+                columns.append(Column(attr, INTEGER, tuple(map(int, raw))))
+            except ValueError:
+                row, value = next((i, v) for i, v in enumerate(raw) if not _is_int(v))
+                failures.append((row, j, f"non-integer value {value!r} for {attr}"))
+        else:
+            # {code: code}: the lookup checks the code and returns the one
+            # string that every row holding it shares
+            codes = {code: code for code in _CODE_DOMAINS[attr]}
+            try:
+                columns.append(Column(attr, CATEGORICAL, tuple(map(codes.__getitem__, raw))))
+            except KeyError:
+                row, value = next((i, v) for i, v in enumerate(raw) if v not in codes)
+                failures.append((row, j, f"unknown code {value!r} for {attr}"))
+    raw = flat[20::21]
+    del flat
+    try:
+        columns.append(Column("outcome", CATEGORICAL, tuple(map(_LABELS.__getitem__, raw))))
+    except KeyError:
+        row, value = next((i, v) for i, v in enumerate(raw) if v not in _LABELS)
+        failures.append((row, 20, f"label must be 1 or 2, got {value!r}"))
+    if failures:
+        row, _, problem = min(failures)
+        raise ParseError(f"line {row + 1}: {problem}")
     return Dataset(columns=tuple(columns), outcome="outcome")
+
+
+def _is_int(value: str) -> bool:
+    try:
+        int(value)
+    except ValueError:
+        return False
+    return True
 
 
 def load_csv(path, outcome_column: str, good_value: str = GOOD,
@@ -288,6 +315,9 @@ def load_csv(path, outcome_column: str, good_value: str = GOOD,
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         rows = list(reader)
+    twice = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if twice is not None:
+        raise ParseError(f"line 1: column {twice!r} appears twice in the header")
     if not rows:
         raise ParseError(f"{path}: no data rows")
     if outcome_column not in header:

@@ -1,15 +1,18 @@
-"""Row-scan reference implementations of the counting and scoring cores.
+"""Row-scan reference implementations of the loading, counting and
+scoring cores.
 
 These are the original per-row versions of `tabular.partition`,
 `tabular.label_distribution` and the subclass enumeration of
-`detection.subclass_double_check` (test_counting_oracle.py), and of the
+`detection.subclass_double_check` (test_counting_oracle.py), of the
 scorecard's value-to-bin mapping, logistic fit and scoring
-(test_scorecard.py).  They are kept only as a differential oracle for the
-numpy-based versions.
+(test_scorecard.py), and of the German Credit loader and the binning fit
+(test_columnar_oracle.py).  They are kept only as a differential oracle
+for the columnar versions.
 """
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -17,21 +20,69 @@ import numpy as np
 from fairaudit.scorecard import (
     CATEGORICAL,
     NUMERIC,
+    BinningConfig,
     BinningSpec,
     Scorecard,
     ScorecardConfig,
-    fit_bins,
+    woe_iv_from_counts,
 )
 from fairaudit.tabular import (
+    _ATTRS,
+    _CODE_DOMAINS,
+    _INTEGER_ATTRS,
     BAD,
     DERIVED,
+    GOOD,
     INTEGER,
+    Column,
     Dataset,
     EmptyClassError,
     FeaturePartition,
+    ParseError,
     ProbabilityDistribution,
     SensitiveSpec,
 )
+
+
+def load_german_credit(path) -> Dataset:
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+
+    raw: list[list] = []
+    outcome: list[str] = []
+    n_parsed = 0
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields:
+            raise ParseError(f"line {lineno}: blank line")
+        if len(fields) != 21:
+            raise ParseError(f"line {lineno}: expected 21 fields, got {len(fields)}")
+        rec = []
+        for attr, value in zip(_ATTRS, fields[:20]):
+            if attr in _INTEGER_ATTRS:
+                try:
+                    rec.append(int(value))
+                except ValueError:
+                    raise ParseError(f"line {lineno}: non-integer value {value!r} for {attr}") from None
+            else:
+                if value not in _CODE_DOMAINS[attr]:
+                    raise ParseError(f"line {lineno}: unknown code {value!r} for {attr}")
+                rec.append(value)
+        if fields[20] not in ("1", "2"):
+            raise ParseError(f"line {lineno}: label must be 1 or 2, got {fields[20]!r}")
+        outcome.append(GOOD if fields[20] == "1" else BAD)
+        raw.append(rec)
+        n_parsed += 1
+    if n_parsed == 0:
+        raise ParseError(f"{path}: empty file")
+
+    columns = [
+        Column(attr, INTEGER if attr in _INTEGER_ATTRS else CATEGORICAL,
+               tuple(rec[i] for rec in raw))
+        for i, attr in enumerate(_ATTRS)
+    ]
+    columns.append(Column("outcome", CATEGORICAL, tuple(outcome)))
+    return Dataset(columns=tuple(columns), outcome="outcome")
 
 
 def partition(d: Dataset, feature: SensitiveSpec, conditions=()) -> FeaturePartition:
@@ -153,3 +204,101 @@ def fit_scorecard(d: Dataset, config: ScorecardConfig = ScorecardConfig()) -> Sc
                      intercept=float(intercept),
                      scaling=config.scaling,
                      final_loss=loss)
+
+
+def _bin_counts(assignments, n_bins: int, y_bad) -> tuple[list[int], list[int]]:
+    goods = np.bincount(assignments[~y_bad], minlength=n_bins)
+    bads = np.bincount(assignments[y_bad], minlength=n_bins)
+    return goods.tolist(), bads.tolist()
+
+
+def fit_bins(column: str, kind: str, values, labels,
+             config: BinningConfig = BinningConfig()) -> BinningSpec:
+    """Fit the binning of one column against good/bad labels."""
+    values = list(values)
+    labels = list(labels)
+    if len(values) != len(labels):
+        raise ValueError("values and labels differ in length")
+    distinct_labels = set(labels)
+    if not distinct_labels <= {GOOD, BAD}:
+        raise ValueError(f"labels outside {{good, bad}}: {sorted(distinct_labels - {GOOD, BAD})}")
+    if len(distinct_labels) < 2:
+        raise ValueError(f"column {column!r}: need both outcome classes to fit bins")
+    y_bad = np.array([label == BAD for label in labels], dtype=bool)
+
+    if kind == NUMERIC:
+        return _fit_numeric(column, values, y_bad, config)
+    return _fit_categorical(column, values, y_bad, config)
+
+
+def _fit_numeric(column, values, y_bad, config) -> BinningSpec:
+    floats = np.asarray(values, dtype=float)
+    lo = float(floats.min())
+    if lo == floats.max():  # constant column: single bin, WOE 0, IV 0
+        return BinningSpec(column=column, kind=NUMERIC, edges=(), woes=(0.0,), iv=0.0)
+
+    qs = [i / config.max_prebins for i in range(1, config.max_prebins)]
+    edges = sorted({float(e) for e in np.quantile(floats, qs)})
+    edges = [e for e in edges if e > lo]  # an edge at the minimum leaves an empty first bin
+
+    min_count = config.min_bin_fraction * len(floats)
+
+    def counts_for(es):
+        return _bin_counts(np.searchsorted(es, floats, side="right"), len(es) + 1, y_bad)
+
+    goods, bads = counts_for(edges)
+    totals = [g + b for g, b in zip(goods, bads)]
+
+    # merge for support: repeatedly fold the smallest undersized bin into
+    # its smaller neighbour (ties towards the left)
+    while len(totals) > 1 and min(totals) < min_count:
+        i = totals.index(min(totals))
+        if i == 0:
+            j = 0
+        elif i == len(totals) - 1:
+            j = i - 1
+        else:
+            j = i - 1 if totals[i - 1] <= totals[i + 1] else i
+        del edges[j]
+        goods, bads = counts_for(edges)
+        totals = [g + b for g, b in zip(goods, bads)]
+
+    # merge for monotonicity of the WOE sequence
+    woes, iv = woe_iv_from_counts(goods, bads)
+    while len(woes) > 2:
+        direction = 1.0 if woes[-1] >= woes[0] else -1.0
+        bad_pair = next((i for i in range(len(woes) - 1)
+                         if (woes[i + 1] - woes[i]) * direction < 0), None)
+        if bad_pair is None:
+            break
+        del edges[bad_pair]
+        goods, bads = counts_for(edges)
+        woes, iv = woe_iv_from_counts(goods, bads)
+
+    return BinningSpec(column=column, kind=NUMERIC, edges=tuple(edges),
+                       woes=tuple(woes), iv=iv)
+
+
+def _fit_categorical(column, values, y_bad, config) -> BinningSpec:
+    counts = Counter(values)
+    codes = sorted(counts)
+    min_count = config.min_bin_fraction * len(values)
+    frequent = [c for c in codes if counts[c] >= min_count]
+    rare = [c for c in codes if counts[c] < min_count]
+
+    groups = [(c,) for c in frequent]
+    rest_bin = None
+    if rare:
+        groups.append(tuple(rare))
+        rest_bin = len(groups) - 1
+    if not frequent and rare:  # everything rare: one catch-all bin
+        groups = [tuple(rare)]
+        rest_bin = 0
+
+    group_index = {code: i for i, g in enumerate(groups) for code in g}
+    assignments = np.fromiter(map(group_index.__getitem__, values), dtype=np.intp,
+                              count=len(values))
+    goods, bads = _bin_counts(assignments, len(groups), y_bad)
+    woes, iv = woe_iv_from_counts(goods, bads)
+    return BinningSpec(column=column, kind=CATEGORICAL, groups=tuple(groups),
+                       rest_bin=rest_bin, woes=tuple(woes), iv=iv)

@@ -342,6 +342,13 @@ def _undecodable_csv(tmp_path, outputs, german_path):
     return argv
 
 
+def _duplicate_header_csv(tmp_path, outputs, german_path):
+    argv = _csv_case({"sensitive_features": ["group"]})(tmp_path, outputs, german_path)
+    data = tmp_path / "generic.csv"
+    data.write_text(data.read_text().replace("group,income,", "group,group,", 1))
+    return argv
+
+
 def _undecodable_copy(name, command):
     """`command(bad, outputs, german_path)` run on a copy of the German file or
     of output `name` that holds a 0xff byte."""
@@ -419,6 +426,8 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
         "german.data: 'ascii' codec can't decode byte 0xff"),
     "undecodable_csv_dataset": (_undecodable_csv,
                                 "generic.csv: 'utf-8' codec can't decode byte 0xff"),
+    "duplicate_csv_header": (_duplicate_header_csv,
+                             "generic.csv: line 1: column 'group' appears twice in the header"),
     "undecodable_scores": (
         _undecodable_copy("scores.csv", lambda bad, outputs, german_path: [
             "audit", "--target", "model", "--scores", bad, "--dataset", german_path]),

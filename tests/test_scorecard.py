@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +37,18 @@ def oracle_woe_iv(bin_of_row, labels):
 
 def two_class_labels(n_good, n_bad):
     return [GOOD] * n_good + [BAD] * n_bad
+
+
+def count_table(values, labels):
+    """(sorted distinct values, good count of each, bad count of each)."""
+    good = Counter(v for v, label in zip(values, labels) if label == GOOD)
+    bad = Counter(v for v, label in zip(values, labels) if label == BAD)
+    uniques = sorted(set(values))
+    return uniques, [good[v] for v in uniques], [bad[v] for v in uniques]
+
+
+def fit_bins(column, kind, values, labels, *config):
+    return sc.fit_bins(column, kind, *count_table(values, labels), *config)
 
 
 class TestWoeIv:
@@ -84,8 +97,8 @@ class TestFitBins:
     def test_numeric_two_bin_fixture(self):
         values = list(range(10))
         labels = [GOOD] * 4 + [BAD] + [GOOD] + [BAD] * 4
-        spec = sc.fit_bins("x", sc.NUMERIC, values, labels,
-                           sc.BinningConfig(max_prebins=2, min_bin_fraction=0.0))
+        spec = fit_bins("x", sc.NUMERIC, values, labels,
+                        sc.BinningConfig(max_prebins=2, min_bin_fraction=0.0))
         assert spec.edges == (4.5,)
         assert spec.woes == (math.log(4), -math.log(4))
         assert spec.iv == pytest.approx(1.2 * math.log(4), abs=1e-12)
@@ -98,7 +111,7 @@ class TestFitBins:
         labels = [GOOD if rng.random() < 0.6 else BAD for _ in range(n)]
         if len(set(labels)) < 2:
             labels[0], labels[1] = GOOD, BAD
-        spec = sc.fit_bins("x", sc.NUMERIC, values, labels)
+        spec = fit_bins("x", sc.NUMERIC, values, labels)
         assign = spec.assign(values).tolist()
         want_woes, want_iv = oracle_woe_iv(assign, labels)
         for b, woe in want_woes.items():
@@ -114,8 +127,8 @@ class TestFitBins:
                   for v in values]
         if len(set(labels)) < 2:
             labels[0], labels[1] = GOOD, BAD
-        spec = sc.fit_bins("x", sc.NUMERIC, values, labels,
-                           sc.BinningConfig(max_prebins=10, min_bin_fraction=0.05))
+        spec = fit_bins("x", sc.NUMERIC, values, labels,
+                        sc.BinningConfig(max_prebins=10, min_bin_fraction=0.05))
         assign = spec.assign(values).tolist()
         counts = [assign.count(b) for b in range(spec.n_bins)]
         if spec.n_bins > 1:
@@ -124,7 +137,7 @@ class TestFitBins:
             assert all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs)
 
     def test_constant_column(self):
-        spec = sc.fit_bins("x", sc.NUMERIC, [7] * 10, two_class_labels(6, 4))
+        spec = fit_bins("x", sc.NUMERIC, [7] * 10, two_class_labels(6, 4))
         assert spec.n_bins == 1
         assert spec.woes == (0.0,)
         assert spec.iv == 0.0
@@ -132,12 +145,12 @@ class TestFitBins:
 
     def test_single_class_labels_rejected(self):
         with pytest.raises(ValueError, match="both outcome classes"):
-            sc.fit_bins("x", sc.NUMERIC, [1, 2, 3], [GOOD, GOOD, GOOD])
+            fit_bins("x", sc.NUMERIC, [1, 2, 3], [GOOD, GOOD, GOOD])
 
     def test_german_attribute1_iv(self, german):
-        spec = sc.fit_bins("Attribute1", sc.CATEGORICAL,
-                           german.column("Attribute1").values,
-                           german.column("outcome").values)
+        spec = fit_bins("Attribute1", sc.CATEGORICAL,
+                        german.column("Attribute1").values,
+                        german.column("outcome").values)
         assert spec.iv > 0
         # regression pin, cross-checked against the oracle
         assert spec.iv == pytest.approx(0.6660115033513336, abs=1e-12)
@@ -151,8 +164,8 @@ class TestFitBins:
         labels = [rng.choice([GOOD, BAD]) for _ in range(200)]
         labels[0], labels[1] = GOOD, BAD
         swapped = [BAD if l == GOOD else GOOD for l in labels]
-        a = sc.fit_bins("x", sc.CATEGORICAL, values, labels)
-        b = sc.fit_bins("x", sc.CATEGORICAL, values, swapped)
+        a = fit_bins("x", sc.CATEGORICAL, values, labels)
+        b = fit_bins("x", sc.CATEGORICAL, values, swapped)
         assert a.groups == b.groups
         for wa, wb in zip(a.woes, b.woes):
             assert wa == pytest.approx(-wb, abs=1e-12)
@@ -160,8 +173,8 @@ class TestFitBins:
     def test_categorical_rest_bin(self):
         values = ["a"] * 50 + ["b"] * 45 + ["c"] * 3 + ["d"] * 2
         labels = two_class_labels(50, 50)
-        spec = sc.fit_bins("x", sc.CATEGORICAL, values, labels,
-                           sc.BinningConfig(min_bin_fraction=0.05))
+        spec = fit_bins("x", sc.CATEGORICAL, values, labels,
+                        sc.BinningConfig(min_bin_fraction=0.05))
         assert ("c", "d") in spec.groups
         assert spec.rest_bin == len(spec.groups) - 1
         # unseen codes fall into the rest bin
@@ -169,7 +182,7 @@ class TestFitBins:
 
     def test_unseen_code_without_rest_bin(self):
         values = ["a"] * 5 + ["b"] * 5
-        spec = sc.fit_bins("x", sc.CATEGORICAL, values, two_class_labels(5, 5))
+        spec = fit_bins("x", sc.CATEGORICAL, values, two_class_labels(5, 5))
         assert spec.rest_bin is None
         with pytest.raises(ValueError, match="unseen code 'zzz'"):
             spec.assign(["a", "zzz", "b"])
