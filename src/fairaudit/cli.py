@@ -77,7 +77,12 @@ def _out_dir(cfg: AuditConfig) -> str:
     return cfg.output_dir
 
 
-def _read_scores(path: str | None, expected_rows: int) -> list[int]:
+def _read_scores(path: str | None, d: Dataset) -> list[int]:
+    """The model's score of every row of `d`.  The caller adds the model's
+    classifications to `d` as a column of their own, so `d` must not hold one."""
+    if d.has_column(rv.PREDICTION_COLUMN):
+        raise ConfigError(f"dataset column {rv.PREDICTION_COLUMN!r} would be replaced by "
+                          "the model's classifications; rename it")
     if path is None:
         raise ConfigError("--scores is required for this command")
     if not os.path.exists(path):
@@ -88,8 +93,8 @@ def _read_scores(path: str | None, expected_rows: int) -> list[int]:
         raise ConfigError(f"cannot decode scores file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if len(scores) != expected_rows:
-        raise ConfigError(f"scores file has {len(scores)} rows, dataset has {expected_rows}")
+    if len(scores) != d.size:
+        raise ConfigError(f"scores file has {len(scores)} rows, dataset has {d.size}")
     return scores
 
 
@@ -117,19 +122,11 @@ def cmd_train(args) -> int:
     metrics = evaluate(scores, labels, cfg.scorecard.score_threshold)
 
     out = _out_dir(cfg)
-    with open(os.path.join(out, "scorecard.json"), "w", encoding="utf-8") as fh:
-        fh.write(sc.dumps())
+    rp.write_json(os.path.join(out, "scorecard.json"), rp.scorecard_doc(sc))
     rp.write_scores_csv(os.path.join(out, "scores.csv"), scores,
                         classify(scores, cfg.scorecard.score_threshold))
-    rp.write_json(os.path.join(out, "metrics.json"), {
-        "auc": metrics.auc,
-        "auc_display": f"{metrics.auc:.5f}",
-        "gini": metrics.gini,
-        "gini_display": f"{metrics.gini:.5f}",
-        "threshold": metrics.threshold,
-        "final_loss": sc.final_loss,
-        "roc": [[fpr, tpr] for fpr, tpr in metrics.roc],
-    })
+    rp.write_json(os.path.join(out, "metrics.json"),
+                  {**rp.to_doc(metrics), "final_loss": sc.final_loss})
     print(f"scorecard: {out}/scorecard.json")
     print(f"scores: {out}/scores.csv")
     print(f"metrics: {out}/metrics.json (auc {metrics.auc:.5f}, gini {metrics.gini:.5f})")
@@ -142,7 +139,7 @@ def cmd_audit(args) -> int:
     features = _resolve_features(d, cfg)
 
     if args.target == MODEL:
-        scores = _read_scores(args.scores, d.size)
+        scores = _read_scores(args.scores, d)
         d = rv.with_predictions(d, scores, cfg.scorecard.score_threshold)
         outcome = rv.PREDICTION_COLUMN
     else:
@@ -154,13 +151,12 @@ def cmd_audit(args) -> int:
     out = _out_dir(cfg)
     for test_report in reports:
         name = f"test_report_{test_report.sensitive_feature}_{args.target}.json"
-        rp.write_json(os.path.join(out, name),
-                      rp.test_report_to_dict(test_report), "test_report")
+        rp.write_json(os.path.join(out, name), rp.to_doc(test_report), "test_report")
     for h in risk.hazards:
         name = f"hazard_{h.test}_{h.mode}_{args.target}.json"
-        rp.write_json(os.path.join(out, name), rp.hazard_to_dict(h))
+        rp.write_json(os.path.join(out, name), rp.to_doc(h))
     risk_path = os.path.join(out, f"risk_report_{args.target}.json")
-    rp.write_json(risk_path, rp.risk_report_to_dict(risk, args.target), "risk_report")
+    rp.write_json(risk_path, {**rp.to_doc(risk), "target": args.target}, "risk_report")
 
     for h in risk.hazards:
         print(f"hazard {h.test} ({h.mode}): {h.value:.5f}")
@@ -193,7 +189,7 @@ def cmd_compare(args) -> int:
 
     out = _out_dir(cfg)
     path = os.path.join(out, "hazard_comparison.json")
-    rp.write_json(path, rp.comparison_to_dict(cmp), "hazard_comparison")
+    rp.write_json(path, rp.to_doc(cmp), "hazard_comparison")
     for e in cmp.entries:
         print(f"{e.feature} ({e.mode}): data {e.data_hazard:.5f} model {e.model_hazard:.5f} "
               f"difference {e.difference:+.5f}")
@@ -210,7 +206,7 @@ def cmd_sweep(args) -> int:
         rv.credit_columns(d, cfg.revenue)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    scores = _read_scores(args.scores, d.size)
+    scores = _read_scores(args.scores, d)
     thresholds = cfg.revenue.thresholds.values()
 
     rows = rv.sweep(d, scores, thresholds, features, cfg.conditioning_columns,
@@ -219,8 +215,9 @@ def cmd_sweep(args) -> int:
     out = _out_dir(cfg)
     rp.write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
     rp.write_json(os.path.join(out, "sweep.json"),
-                  rp.sweep_to_dict(rows, cfg.revenue.provision_factor,
-                                   cfg.revenue.interest_rate), "sweep")
+                  {"provision_factor": cfg.revenue.provision_factor,
+                   "interest_rate": cfg.revenue.interest_rate,
+                   "rows": rp.to_doc(rows)}, "sweep")
     print(f"sweep rows: {len(rows)}")
     print(f"sweep table: {out}/sweep.csv")
     return EXIT_OK

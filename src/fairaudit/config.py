@@ -61,6 +61,14 @@ class AuditConfig:
         if not self.fairness_modes or not set(self.fairness_modes) <= set(MODES):
             raise ValueError(f"fairness_modes must be a non-empty subset of {list(MODES)}, "
                              f"got {list(self.fairness_modes)}")
+        if not self.sensitive_features:
+            raise ValueError("sensitive_features: empty list (name at least one feature)")
+        # a repeat would count a test twice in the overall risk, or repeat lines
+        for key in ("sensitive_features", "conditioning_columns", "fairness_modes"):
+            items = getattr(self, key)
+            twice = [c for i, c in enumerate(items) if c in items[:i]]
+            if twice:
+                raise ValueError(f"{key}: {twice[0]!r} is listed twice")
 
     def with_overrides(self, dataset_path=None, output_dir=None, modes=None):
         cfg = self

@@ -1,6 +1,7 @@
 """Machine-readable reports: JSON documents validated against the shipped
 schemas, plus the CSV outputs.
 
+Every JSON output is `dumps(to_doc(result))` of its result dataclass.
 Numeric fields are emitted at full precision together with a rounded
 display string (5 decimals for rates and risks, 2 for money).  All
 serialization is deterministic: sorted keys, fixed indentation, no
@@ -16,20 +17,18 @@ document imports jsonschema, which then writes the error message.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import numbers
 from importlib import resources
 
-from .detection import TestLine, TestReport
 from .revenue import SweepRow
-from .risk import HazardComparison, HazardValue, RiskReport
+from .risk import HazardValue, RiskReport
+from .scorecard import Scorecard
 
 SCHEMA_NAMES = ("test_report", "risk_report", "hazard_comparison", "sweep")
-
-
-def _display(x: float, places: int = 5) -> str:
-    return f"{x:.{places}f}"
+SCORECARD_FORMAT_VERSION = 1
 
 
 def load_schema(name: str) -> dict:
@@ -189,56 +188,61 @@ def write_json(path, doc: dict, schema_name: str | None = None):
         fh.write(dumps(doc))
 
 
-# --- report dictionaries -----------------------------------------------------
+# --- report documents --------------------------------------------------------
 
-def line_to_dict(line: TestLine) -> dict:
-    div = None
-    if line.divergence is not None:
-        div = {"kind": line.divergence.kind,
-               "value": line.divergence.value,
-               "value_display": _display(line.divergence.value)}
-    return {
-        "conditions": [{"column": c, "value": v} for c, v in line.conditions],
-        "compared": list(line.compared),
-        "union_count": line.union_count,
-        "divergence": div,
-        "epsilon": line.epsilon,
-        "epsilon_display": None if line.epsilon is None else _display(line.epsilon),
-        "violated": line.violated,
-        "warnings": list(line.warnings),
-    }
+# Fields that also get a rounded `<field>_display` string, with its decimals.
+_DISPLAY_PLACES = {name: 5 for name in (
+    "value", "epsilon", "overall", "difference", "overall_difference", "auc", "gini",
+    "bad_rate", "risk_difference", "model_risk", "data_risk")}
+_DISPLAY_PLACES.update(provisions=2, profit=2)
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-def test_report_to_dict(report: TestReport) -> dict:
-    return {
-        "sensitive_feature": report.sensitive_feature,
-        "mode": report.mode,
-        "divergence_kind": report.divergence_kind,
-        "aggregation_mode": report.aggregation_mode,
-        "dataset_size": report.dataset_size,
-        "conditioning_columns": list(report.conditioning_columns),
-        "lines": [line_to_dict(line) for line in report.lines],
-        "warnings": list(report.warnings),
-    }
+@functools.cache
+def _plan(cls) -> tuple[tuple[str, str, int | None], ...] | None:
+    """(field name, display key, display places) of each field of a
+    dataclass, else None."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple((f.name, f.name + "_display", _DISPLAY_PLACES.get(f.name))
+                 for f in dataclasses.fields(cls))
 
 
-def hazard_to_dict(h: HazardValue) -> dict:
-    return {
-        "test": h.test,
-        "mode": h.mode,
-        "value": h.value,
-        "value_display": _display(h.value),
-        "line_contributions": list(h.line_contributions),
-    }
+def to_doc(obj):
+    """The JSON document of a result: a dataclass becomes an object of its
+    fields, a tuple or list a list, and `conditions` a list of
+    `{column, value}` objects.  Each field in `_DISPLAY_PLACES` also gets
+    its `<field>_display` string, or null when the value is None."""
+    if type(obj) in _SCALARS:
+        return obj
+    if isinstance(obj, (tuple, list)):
+        # a result's tuple holds items of one type, so the first one tells
+        return list(obj) if not obj or type(obj[0]) in _SCALARS else [to_doc(x) for x in obj]
+    plan = _plan(type(obj))
+    if plan is None:
+        return obj
+    doc = {}
+    for name, display, places in plan:
+        value = getattr(obj, name)
+        if type(value) in _SCALARS:
+            doc[name] = value
+        elif name == "conditions":
+            doc[name] = [{"column": c, "value": v} for c, v in value]
+        else:
+            doc[name] = to_doc(value)
+        if places is not None:
+            doc[display] = None if value is None else f"{value:.{places}f}"
+    return doc
 
 
-def risk_report_to_dict(report: RiskReport, target: str) -> dict:
-    return {
-        "target": target,
-        "hazards": [hazard_to_dict(h) for h in report.hazards],
-        "overall": report.overall,
-        "overall_display": _display(report.overall),
-    }
+def scorecard_doc(card: Scorecard) -> dict:
+    """`scorecard.json`: the card's fields, its format version and the score
+    points of every bin."""
+    doc = to_doc(card)
+    for binning, points in zip(doc["binnings"], card.points):
+        binning["points"] = list(points)
+    return {**doc, "format_version": SCORECARD_FORMAT_VERSION}
 
 
 def risk_report_from_dict(doc: dict) -> tuple[RiskReport, str]:
@@ -247,49 +251,6 @@ def risk_report_from_dict(doc: dict) -> tuple[RiskReport, str]:
                                 line_contributions=tuple(h["line_contributions"]))
                     for h in doc["hazards"])
     return RiskReport(hazards=hazards, overall=doc["overall"]), doc["target"]
-
-
-def comparison_to_dict(cmp: HazardComparison) -> dict:
-    return {
-        "entries": [{
-            "feature": e.feature,
-            "mode": e.mode,
-            "data_hazard": e.data_hazard,
-            "model_hazard": e.model_hazard,
-            "difference": e.difference,
-            "difference_display": _display(e.difference),
-        } for e in cmp.entries],
-        "data_overall": cmp.data_overall,
-        "model_overall": cmp.model_overall,
-        "overall_difference": cmp.overall_difference,
-        "overall_difference_display": _display(cmp.overall_difference),
-    }
-
-
-def sweep_to_dict(rows: list[SweepRow], provision_factor: float,
-                  interest_rate: float) -> dict:
-    out = []
-    for r in rows:
-        out.append({
-            "threshold": r.threshold,
-            "accepted_count": r.accepted_count,
-            "bad_rate": r.bad_rate,
-            "bad_rate_display": _display(r.bad_rate),
-            "provisions": r.provisions,
-            "provisions_display": _display(r.provisions, 2),
-            "profit": r.profit,
-            "profit_display": _display(r.profit, 2),
-            "model_risk": r.model_risk,
-            "model_risk_display": _display(r.model_risk),
-            "data_risk": r.data_risk,
-            "data_risk_display": _display(r.data_risk),
-            "risk_difference": r.risk_difference,
-            "risk_difference_display": _display(r.risk_difference),
-            "warnings": list(r.warnings),
-        })
-    return {"provision_factor": provision_factor,
-            "interest_rate": interest_rate,
-            "rows": out}
 
 
 # --- CSV ---------------------------------------------------------------------

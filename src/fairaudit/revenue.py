@@ -10,6 +10,7 @@ at each point, against the (threshold-independent) risk of the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .detection import DetectionConfig
@@ -107,6 +108,9 @@ def credit_columns(d: Dataset, cfg: RevenueConfig) -> tuple[list[float], list[fl
     """Per-row credit amounts and interest rates, parsed and range-checked;
     every error names its config key, so a caller can reject it before any maths."""
     amounts = _float_column(d, "revenue.amount_column", "credit amount", cfg.amount_column)
+    if not all(map(math.isfinite, amounts)):
+        raise ValueError(f"revenue.amount_column: column {cfg.amount_column!r} "
+                         "holds non-finite credit amounts")
     if any(a < 0 for a in amounts):
         raise ValueError(f"revenue.amount_column: column {cfg.amount_column!r} "
                          "holds negative credit amounts")
@@ -114,7 +118,7 @@ def credit_columns(d: Dataset, cfg: RevenueConfig) -> tuple[list[float], list[fl
         return amounts, [cfg.interest_rate] * d.size
     rates = _float_column(d, "revenue.interest_rate_column", "interest rate",
                           cfg.interest_rate_column)
-    if any(not 0.0 <= r <= 1.0 for r in rates):
+    if any(not 0.0 <= r <= 1.0 for r in rates):  # NaN fails both comparisons
         raise ValueError(f"revenue.interest_rate_column: column {cfg.interest_rate_column!r} "
                          "holds interest rates outside [0, 1]")
     return amounts, rates

@@ -28,7 +28,6 @@ fall.  The fitted target is the bad class (bad=1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,8 +37,6 @@ import numpy as np
 from .tabular import BAD, GOOD, CATEGORICAL, DERIVED, INTEGER, Dataset, group_rows
 
 NUMERIC = "numeric"
-
-SCORECARD_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -155,56 +152,6 @@ class Scorecard:
                 raise
             total += np.array(points)[value_bins[enc.codes]]
         return [round(t) for t in total.tolist()]
-
-    # --- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        bins = []
-        for b, points in zip(self.binnings, self.points):
-            bins.append({
-                "column": b.column,
-                "kind": b.kind,
-                "edges": list(b.edges),
-                "groups": [list(g) for g in b.groups],
-                "rest_bin": b.rest_bin,
-                "woes": list(b.woes),
-                "iv": b.iv,
-                "points": list(points),
-            })
-        return {
-            "format_version": SCORECARD_FORMAT_VERSION,
-            "binnings": bins,
-            "coefficients": list(self.coefficients),
-            "intercept": self.intercept,
-            "scaling": {"pdo": self.scaling.pdo,
-                        "base_score": self.scaling.base_score,
-                        "base_odds": self.scaling.base_odds},
-            "final_loss": self.final_loss,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Scorecard":
-        if doc.get("format_version") != SCORECARD_FORMAT_VERSION:
-            raise ValueError(f"unsupported scorecard format {doc.get('format_version')!r}")
-        binnings = tuple(
-            BinningSpec(column=b["column"], kind=b["kind"],
-                        edges=tuple(b["edges"]),
-                        groups=tuple(tuple(g) for g in b["groups"]),
-                        rest_bin=b["rest_bin"], woes=tuple(b["woes"]), iv=b["iv"])
-            for b in doc["binnings"]
-        )
-        s = doc["scaling"]
-        return cls(binnings=binnings, coefficients=tuple(doc["coefficients"]),
-                   intercept=doc["intercept"],
-                   scaling=ScoreScaling(s["pdo"], s["base_score"], s["base_odds"]),
-                   final_loss=doc["final_loss"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "Scorecard":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

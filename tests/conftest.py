@@ -8,7 +8,8 @@ from fairaudit import cli, scorecard, tabular
 settings.register_profile(
     "ci", derandomize=True, deadline=None, max_examples=60,
     suppress_health_check=[HealthCheck.too_slow])
-# the schema, loader and binning differential tests run this one on their own in CI
+# the schema, loader, binning, counting and report differential tests run this
+# one on their own in CI
 settings.register_profile("deep", parent=settings.get_profile("ci"), max_examples=2000)
 settings.load_profile("ci")
 

@@ -297,6 +297,25 @@ def _csv_case(doc):
     return argv
 
 
+def _csv_scored_case(column, value_of_row, doc, command=("sweep",)):
+    """`command` on the model of a 60-row CSV that has one more column,
+    `column`, holding `value_of_row(i)` on row i, with a scores file of its own."""
+    def argv(tmp_path, outputs, german_path):
+        data = tmp_path / "generic.csv"
+        data.write_text(f"group,income,{column},label\n" + "".join(
+            f"g{i % 2},{1000 + 10 * i},{value_of_row(i)},{'ok' if i % 3 else 'ko'}\n"
+            for i in range(60)))
+        scores = tmp_path / "scores.csv"
+        scores.write_text("row_id,score\n" + "".join(f"{i},{500 + 3 * i}\n" for i in range(60)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": {"path": str(data), "format": "csv", "outcome_column": "label",
+                        "good_value": "ok", "bad_value": "ko"},
+            "sensitive_features": ["group"], "conditioning_columns": ["income"], **doc}))
+        return [*command, "--scores", str(scores), "--config", str(cfg_path)]
+    return argv
+
+
 def _sweep_case(doc):
     def argv(tmp_path, outputs, german_path):
         scores = ("sweep", "--scores", os.path.join(outputs, "scores.csv"))
@@ -388,6 +407,16 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
     "duplicate_scorecard_column": (
         _config_case({"scorecard": {"columns": ["Attribute1", "Attribute1"]}}, ("train",)),
         "scorecard.columns: 'Attribute1' is listed twice"),
+    "empty_sensitive_features": (_config_case({"sensitive_features": []}),
+                                 "sensitive_features: empty list"),
+    "repeated_sensitive_feature": (
+        _config_case({"sensitive_features": ["gender", "gender", "foreign"]}),
+        "sensitive_features: 'gender' is listed twice"),
+    "repeated_conditioning_column": (
+        _config_case({"conditioning_columns": ["Attribute1", "Attribute3", "Attribute1"]}),
+        "conditioning_columns: 'Attribute1' is listed twice"),
+    "repeated_fairness_mode": (_config_case({"fairness_modes": ["group", "group"]}),
+                               "fairness_modes: 'group' is listed twice"),
     "integer_sensitive_column": (_config_case({"sensitive_features": ["Attribute5"]}),
                                  "'Attribute5' is an integer column"),
     "csv_keeps_builtin_gender": (_csv_case({"conditioning_columns": ["income"]}),
@@ -408,6 +437,25 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
         _sweep_case({"revenue": {"interest_rate_column": "Attribute2"}}),
         "revenue.interest_rate_column: column 'Attribute2' holds interest rates "
         "outside [0, 1]"),
+    "non_finite_credit_amounts": (
+        _csv_scored_case("amt", lambda i: {3: "nan", 7: "inf"}.get(i, 100 + i),
+                         {"revenue": {"amount_column": "amt"}}),
+        "revenue.amount_column: column 'amt' holds non-finite credit amounts"),
+    "nan_interest_rate": (
+        _csv_scored_case("rate", lambda i: "nan" if i == 5 else 0.05,
+                         {"revenue": {"amount_column": "income",
+                                      "interest_rate_column": "rate"}}),
+        "revenue.interest_rate_column: column 'rate' holds interest rates outside [0, 1]"),
+    "prediction_column_in_sweep": (
+        _csv_scored_case("prediction", lambda i: "pq"[i % 2],
+                         {"conditioning_columns": ["prediction"],
+                          "revenue": {"amount_column": "income"}}),
+        "dataset column 'prediction' would be replaced by the model's classifications"),
+    "prediction_column_in_model_audit": (
+        _csv_scored_case("prediction", lambda i: "pq"[i % 2],
+                         {"conditioning_columns": ["prediction"]},
+                         ("audit", "--target", "model")),
+        "dataset column 'prediction' would be replaced by the model's classifications"),
     "reversed_scores": (_scores_case(lambda rows: rows[::-1]),
                         "line 2: expected row_id 0 and a score, got ['999',"),
     "short_scores_row": (_scores_case(lambda rows: ["0", *rows[1:]]),
@@ -495,8 +543,3 @@ class TestReportHelpers:
         bad.write_text("id,value\n0,1\n")
         with pytest.raises(ValueError, match="scores CSV"):
             report.read_scores_csv(bad)
-
-    def test_scorecard_version_checked(self):
-        from fairaudit.scorecard import Scorecard
-        with pytest.raises(ValueError, match="format"):
-            Scorecard.loads(json.dumps({"format_version": 99}))

@@ -2,7 +2,7 @@
 generated datasets: same cells, counts, subclass order and errors."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import rowscan_oracle as oracle
 from fairaudit.detection import DetectionConfig, subclass_double_check
@@ -58,7 +58,6 @@ def _outcome(fn, *args):
 
 
 class TestAgainstRowScan:
-    @settings(max_examples=40)
     @given(audits(), st.integers(1, 3))
     def test_partitions_counts_and_subclasses(self, audit, depth):
         d, spec, cols = audit
