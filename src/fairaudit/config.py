@@ -43,6 +43,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.format not in (GERMAN_FORMAT, CSV_FORMAT):
             raise ConfigError(f"unknown dataset format {self.format!r}")
+        if self.good_value == self.bad_value:
+            raise ConfigError(f"bad_value: {self.bad_value!r} is also the good_value")
 
 
 @dataclass(frozen=True)

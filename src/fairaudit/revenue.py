@@ -88,9 +88,13 @@ def profit(amounts, rates, provisions_amount: float) -> float:
 
 
 def with_predictions(d: Dataset, scores, threshold: int) -> Dataset:
-    """Attach the model's good/bad classification at a threshold."""
+    """Attach the model's good/bad classification at a threshold, as a
+    column of its own: a dataset that already has one is rejected."""
     if len(scores) != d.size:
         raise ValueError("one score per row required")
+    if d.has_column(PREDICTION_COLUMN):
+        raise ValueError(f"dataset column {PREDICTION_COLUMN!r} would be replaced by "
+                         "the model's classifications; rename it")
     return d.with_columns([Column(PREDICTION_COLUMN, DERIVED,
                                   tuple(classify(scores, threshold)))])
 

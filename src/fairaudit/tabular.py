@@ -1,9 +1,12 @@
 """Typed tabular data: loaders, sensitive-feature derivation, partitions.
 
-The German Credit loader understands the classic whitespace-separated,
-A-coded file (21 fields per line, label 1=good / 2=bad); it checks and
-builds the data a column at a time, not a field at a time.  A generic CSV
-loader keeps the engine model-agnostic.  Datasets are immutable after
+Two loaders build a Dataset a column at a time: the German Credit loader
+reads the classic whitespace-separated, A-coded file (21 fields per line,
+label 1=good / 2=bad), and a generic CSV loader (header row, inferred
+integer columns, outcome mapped onto good/bad) keeps the engine
+model-agnostic.  Both, and the derivation of the built-in sensitive
+features, convert a whole column through one checked mapping that
+reports the first value it rejects.  Datasets are immutable after
 load; "mutating" helpers return new Dataset objects sharing column data.
 Each column encodes itself once, on first use, as integer codes over its
 sorted distinct values; partitions and label counts are numpy operations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -231,7 +235,29 @@ _CODE_DOMAINS = {
 _INTEGER_ATTRS = {"Attribute2", "Attribute5", "Attribute8", "Attribute11",
                   "Attribute13", "Attribute16", "Attribute18"}
 _ATTRS = tuple(f"Attribute{i}" for i in range(1, 21))
-_LABELS = {"1": GOOD, "2": BAD}
+# one (name, kind, convert, message) per field of a line; a code column maps
+# each code onto itself, so that every row holding it shares one string
+_FIELDS = tuple(
+    (attr, INTEGER, int, f"non-integer value {{!r}} for {attr}") if attr in _INTEGER_ATTRS
+    else (attr, CATEGORICAL, {code: code for code in _CODE_DOMAINS[attr]}.__getitem__,
+          f"unknown code {{!r}} for {attr}")
+    for attr in _ATTRS
+) + (("outcome", CATEGORICAL, {"1": GOOD, "2": BAD}.__getitem__,
+      "label must be 1 or 2, got {!r}"),)
+
+
+def _convert(raw, convert) -> tuple:
+    """`(tuple(map(convert, raw)), None)`, or `(None, (row, value))` for the
+    first value of `raw` that `convert` rejects with a KeyError or ValueError."""
+    try:
+        return tuple(map(convert, raw)), None
+    except (KeyError, ValueError):
+        pass
+    for row, value in enumerate(raw):
+        try:
+            convert(value)
+        except (KeyError, ValueError):
+            return None, (row, value)
 
 
 def load_german_credit(path) -> Dataset:
@@ -263,42 +289,16 @@ def load_german_credit(path) -> Dataset:
     del lines
 
     columns = []
-    for j, attr in enumerate(_ATTRS):
-        raw = flat[j::21]
-        if attr in _INTEGER_ATTRS:
-            try:
-                columns.append(Column(attr, INTEGER, tuple(map(int, raw))))
-            except ValueError:
-                row, value = next((i, v) for i, v in enumerate(raw) if not _is_int(v))
-                failures.append((row, j, f"non-integer value {value!r} for {attr}"))
+    for j, (name, kind, convert, message) in enumerate(_FIELDS):
+        values, bad = _convert(flat[j::21], convert)
+        if bad is None:
+            columns.append(Column(name, kind, values))
         else:
-            # {code: code}: the lookup checks the code and returns the one
-            # string that every row holding it shares
-            codes = {code: code for code in _CODE_DOMAINS[attr]}
-            try:
-                columns.append(Column(attr, CATEGORICAL, tuple(map(codes.__getitem__, raw))))
-            except KeyError:
-                row, value = next((i, v) for i, v in enumerate(raw) if v not in codes)
-                failures.append((row, j, f"unknown code {value!r} for {attr}"))
-    raw = flat[20::21]
-    del flat
-    try:
-        columns.append(Column("outcome", CATEGORICAL, tuple(map(_LABELS.__getitem__, raw))))
-    except KeyError:
-        row, value = next((i, v) for i, v in enumerate(raw) if v not in _LABELS)
-        failures.append((row, 20, f"label must be 1 or 2, got {value!r}"))
+            failures.append((bad[0], j, message.format(bad[1])))
     if failures:
         row, _, problem = min(failures)
         raise ParseError(f"line {row + 1}: {problem}")
     return Dataset(columns=tuple(columns), outcome="outcome")
-
-
-def _is_int(value: str) -> bool:
-    try:
-        int(value)
-    except ValueError:
-        return False
-    return True
 
 
 def load_csv(path, outcome_column: str, good_value: str = GOOD,
@@ -306,8 +306,11 @@ def load_csv(path, outcome_column: str, good_value: str = GOOD,
     """Load a generic labelled CSV (header row, comma separated).
 
     Column types are inferred: integer if every value parses as int,
-    categorical otherwise.  Outcome values are mapped onto good/bad.
+    categorical otherwise.  Outcome values are mapped onto good/bad, so
+    `good_value` and `bad_value` must differ.
     """
+    if good_value == bad_value:
+        raise ValueError(f"good_value and bad_value are both {good_value!r}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -326,32 +329,23 @@ def load_csv(path, outcome_column: str, good_value: str = GOOD,
         if len(row) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
 
+    outcomes = {good_value: GOOD, bad_value: BAD}
     columns = []
-    for i, name in enumerate(header):
-        values = [row[i] for row in rows]
+    for name, raw in zip(header, zip(*rows)):
         if name == outcome_column:
-            mapped = []
-            for lineno, v in enumerate(values, start=2):
-                if v == good_value:
-                    mapped.append(GOOD)
-                elif v == bad_value:
-                    mapped.append(BAD)
-                else:
-                    raise ParseError(f"line {lineno}: outcome value {v!r} is neither "
-                                     f"{good_value!r} nor {bad_value!r}")
-            columns.append(Column(name, CATEGORICAL, tuple(mapped)))
+            values, bad = _convert(raw, outcomes.__getitem__)
+            if bad is not None:
+                raise ParseError(f"line {bad[0] + 2}: outcome value {bad[1]!r} is neither "
+                                 f"{good_value!r} nor {bad_value!r}")
+            columns.append(Column(name, CATEGORICAL, values))
             continue
-        try:
-            columns.append(Column(name, INTEGER, tuple(int(v) for v in values)))
-        except ValueError:
-            columns.append(Column(name, CATEGORICAL, tuple(values)))
+        values, bad = _convert(raw, int)
+        columns.append(Column(name, INTEGER, values) if bad is None
+                       else Column(name, CATEGORICAL, raw))
     return Dataset(columns=tuple(columns), outcome=outcome_column)
 
 
 # --- Sensitive features ----------------------------------------------------
-
-_FEMALE_CODES = {"A92", "A95"}
-_MALE_CODES = {"A91", "A93", "A94"}
 
 GENDER = SensitiveSpec("gender", "gender", ("male", "female"))
 AGE_GROUP = SensitiveSpec("age_group", "age_group", ("[0-27]", "[27-37]", "[37-47]", "[>47]"))
@@ -363,47 +357,39 @@ BUILTIN_SENSITIVE = {s.name: s for s in (GENDER, AGE_GROUP, FOREIGN)}
 def age_bracket(age: int) -> str:
     # Shared printed endpoints are lower-inclusive (27 -> [27-37], 37 -> [37-47]);
     # [>47] starts at 48, so [37-47] covers ages 37..47.
-    if age < 27:
-        return "[0-27]"
-    if age < 37:
-        return "[27-37]"
-    if age < 48:
-        return "[37-47]"
-    return "[>47]"
+    return AGE_GROUP.classes[bisect_right((27, 37, 48), age)]
+
+
+# (spec, source column, what its values are, source value -> class label)
+_DERIVATIONS = (
+    (GENDER, "Attribute9", "personal-status code",
+     {"A91": "male", "A92": "female", "A93": "male", "A94": "male", "A95": "female"}.__getitem__),
+    (AGE_GROUP, "Attribute13", "age", lambda age: age_bracket(int(age))),
+    (FOREIGN, "Attribute20", "foreign-worker code",
+     {"A201": "foreign", "A202": "domestic"}.__getitem__),
+)
 
 
 def derive_sensitive_features(d: Dataset) -> Dataset:
     """Add gender / age_group / foreign columns derived from the raw attributes.
 
-    Idempotent: re-deriving replaces the columns with identical values.
+    Each source value is mapped once; an unmappable one raises, the first
+    in row order of the first source column holding one.  Idempotent:
+    re-deriving replaces the columns with identical values.
     """
-    for src in ("Attribute9", "Attribute13", "Attribute20"):
+    for _, src, _, _ in _DERIVATIONS:
         if not d.has_column(src):
             raise ValueError(f"cannot derive sensitive features: missing column {src!r}")
-
-    genders = []
-    for code in d.column("Attribute9").values:
-        if code in _FEMALE_CODES:
-            genders.append("female")
-        elif code in _MALE_CODES:
-            genders.append("male")
-        else:
-            raise ValueError(f"unmappable personal-status code {code!r}")
-    ages = [age_bracket(int(a)) for a in d.column("Attribute13").values]
-    foreign = []
-    for code in d.column("Attribute20").values:
-        if code == "A201":
-            foreign.append("foreign")
-        elif code == "A202":
-            foreign.append("domestic")
-        else:
-            raise ValueError(f"unmappable foreign-worker code {code!r}")
-
-    return d.with_columns([
-        Column("gender", DERIVED, tuple(genders)),
-        Column("age_group", DERIVED, tuple(ages)),
-        Column("foreign", DERIVED, tuple(foreign)),
-    ])
+    columns = []
+    for spec, src, what, derive in _DERIVATIONS:
+        values = d.column(src).values
+        distinct = tuple(dict.fromkeys(values))  # in order of first occurrence
+        classes, bad = _convert(distinct, derive)
+        if bad is not None:
+            raise ValueError(f"unmappable {what} {bad[1]!r}")
+        table = dict(zip(distinct, classes))
+        columns.append(Column(spec.column, DERIVED, tuple(map(table.__getitem__, values))))
+    return d.with_columns(columns)
 
 
 def sensitive_spec_for(d: Dataset, name: str) -> SensitiveSpec:

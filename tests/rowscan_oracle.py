@@ -5,11 +5,12 @@ These are the original per-row versions of `tabular.partition`,
 `tabular.label_distribution` and the subclass enumeration of
 `detection.subclass_double_check` (test_counting_oracle.py), of the
 scorecard's value-to-bin mapping, logistic fit and scoring
-(test_scorecard.py), and of the German Credit loader and the binning fit
-(test_columnar_oracle.py).  They are kept only as a differential oracle
-for the columnar versions.
+(test_scorecard.py), and of the German Credit and CSV loaders, the
+sensitive-feature derivation and the binning fit (test_columnar_oracle.py).
+They are kept only as a differential oracle for the columnar versions.
 """
 
+import csv
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -83,6 +84,103 @@ def load_german_credit(path) -> Dataset:
     ]
     columns.append(Column("outcome", CATEGORICAL, tuple(outcome)))
     return Dataset(columns=tuple(columns), outcome="outcome")
+
+
+def load_csv(path, outcome_column: str, good_value: str = GOOD,
+             bad_value: str = BAD) -> Dataset:
+    """Load a generic labelled CSV (header row, comma separated).
+
+    Column types are inferred: integer if every value parses as int,
+    categorical otherwise.  Outcome values are mapped onto good/bad.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        rows = list(reader)
+    twice = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if twice is not None:
+        raise ParseError(f"line 1: column {twice!r} appears twice in the header")
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    if outcome_column not in header:
+        raise ParseError(f"{path}: outcome column {outcome_column!r} not in header")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+
+    columns = []
+    for i, name in enumerate(header):
+        values = [row[i] for row in rows]
+        if name == outcome_column:
+            mapped = []
+            for lineno, v in enumerate(values, start=2):
+                if v == good_value:
+                    mapped.append(GOOD)
+                elif v == bad_value:
+                    mapped.append(BAD)
+                else:
+                    raise ParseError(f"line {lineno}: outcome value {v!r} is neither "
+                                     f"{good_value!r} nor {bad_value!r}")
+            columns.append(Column(name, CATEGORICAL, tuple(mapped)))
+            continue
+        try:
+            columns.append(Column(name, INTEGER, tuple(int(v) for v in values)))
+        except ValueError:
+            columns.append(Column(name, CATEGORICAL, tuple(values)))
+    return Dataset(columns=tuple(columns), outcome=outcome_column)
+
+
+_FEMALE_CODES = {"A92", "A95"}
+_MALE_CODES = {"A91", "A93", "A94"}
+
+
+def age_bracket(age: int) -> str:
+    # Shared printed endpoints are lower-inclusive (27 -> [27-37], 37 -> [37-47]);
+    # [>47] starts at 48, so [37-47] covers ages 37..47.
+    if age < 27:
+        return "[0-27]"
+    if age < 37:
+        return "[27-37]"
+    if age < 48:
+        return "[37-47]"
+    return "[>47]"
+
+
+def derive_sensitive_features(d: Dataset) -> Dataset:
+    """Add gender / age_group / foreign columns derived from the raw attributes.
+
+    Idempotent: re-deriving replaces the columns with identical values.
+    """
+    for src in ("Attribute9", "Attribute13", "Attribute20"):
+        if not d.has_column(src):
+            raise ValueError(f"cannot derive sensitive features: missing column {src!r}")
+
+    genders = []
+    for code in d.column("Attribute9").values:
+        if code in _FEMALE_CODES:
+            genders.append("female")
+        elif code in _MALE_CODES:
+            genders.append("male")
+        else:
+            raise ValueError(f"unmappable personal-status code {code!r}")
+    ages = [age_bracket(int(a)) for a in d.column("Attribute13").values]
+    foreign = []
+    for code in d.column("Attribute20").values:
+        if code == "A201":
+            foreign.append("foreign")
+        elif code == "A202":
+            foreign.append("domestic")
+        else:
+            raise ValueError(f"unmappable foreign-worker code {code!r}")
+
+    return d.with_columns([
+        Column("gender", DERIVED, tuple(genders)),
+        Column("age_group", DERIVED, tuple(ages)),
+        Column("foreign", DERIVED, tuple(foreign)),
+    ])
 
 
 def partition(d: Dataset, feature: SensitiveSpec, conditions=()) -> FeaturePartition:

@@ -284,7 +284,7 @@ def _scores_case(edit):
     return argv
 
 
-def _csv_case(doc):
+def _csv_case(doc, **dataset):
     def argv(tmp_path, outputs, german_path):
         data = tmp_path / "generic.csv"
         data.write_text("group,income,label\n" + "".join(
@@ -292,7 +292,7 @@ def _csv_case(doc):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "dataset": {"path": str(data), "format": "csv", "outcome_column": "label",
-                        "good_value": "ok", "bad_value": "ko"}, **doc}))
+                        "good_value": "ok", "bad_value": "ko", **dataset}, **doc}))
         return ["audit", "--target", "data", "--config", str(cfg_path)]
     return argv
 
@@ -422,6 +422,10 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
     "csv_keeps_builtin_gender": (_csv_case({"conditioning_columns": ["income"]}),
                                  "sensitive column 'gender' of built-in feature 'gender' "
                                  "not in dataset"),
+    "good_value_is_bad_value": (
+        _csv_case({"sensitive_features": ["group"], "conditioning_columns": ["income"]},
+                  bad_value="ok"),
+        "dataset.bad_value: 'ok' is also the good_value"),
     "missing_interest_rate_column": (_sweep_case({"revenue": {"interest_rate_column": "nope"}}),
                                      "interest rate column 'nope' not in dataset"),
     "non_numeric_amount_column": (

@@ -1,8 +1,10 @@
-"""The columnar German Credit loader and the count-table binning fit
-against their row-scan oracles: equal datasets and identical parse
-errors on resampled and corrupted files, identical bins on generated
-columns."""
+"""The columnar German Credit and CSV loaders, the sensitive-feature
+derivation and the count-table binning fit against their row-scan
+oracles: equal datasets and identical errors on resampled and corrupted
+files and datasets, identical bins on generated columns."""
 
+import csv
+import io
 import os
 
 import pytest
@@ -20,6 +22,8 @@ from fairaudit.tabular import (
     Column,
     Dataset,
     ParseError,
+    derive_sensitive_features,
+    load_csv,
     load_german_credit,
 )
 
@@ -80,11 +84,13 @@ def german_files(draw, max_corruptions):
     return "".join(sep.join(fields) + "\n" for fields in rows)
 
 
-def _load(load, path):
+def _load(load, *args):
+    """The dataset `load(*args)` returns, with the value types of each
+    column, or the type and message of the ValueError it raises."""
     try:
-        d = load(path)
-    except ParseError as exc:
-        return "error", str(exc)
+        d = load(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
     return "ok", d, [tuple(map(type, c.values)) for c in d.columns]
 
 
@@ -128,19 +134,135 @@ class TestLoaderAgainstRowScan:
                 rows[line - 1][where] = value
         path = tmp_path / "german.data"
         path.write_text("".join(" ".join(r) + "\n" for r in rows), encoding="ascii")
-        assert _load(load_german_credit, path) == ("error", message)
-        assert _load(oracle.load_german_credit, path) == ("error", message)
+        assert _load(load_german_credit, path) == (ParseError, message)
+        assert _load(oracle.load_german_credit, path) == (ParseError, message)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "german.data"
         path.write_text("")
         assert _load(load_german_credit, path) == _load(oracle.load_german_credit, path) == (
-            "error", f"{path}: empty file")
+            ParseError, f"{path}: empty file")
 
     def test_rows_share_one_string_per_code(self, german_raw):
         for c in german_raw.columns:
             if c.kind == CATEGORICAL:
                 assert len({id(v) for v in c.values}) == len(set(c.values))
+
+
+# --- the CSV loader against the row-scan loader ------------------------------
+
+# int() accepts the first six: blanks, a sign, underscores, non-ASCII digits
+_CSV_VALUES = (" 7", "+7", "1_0", "-3", "\u0663", "007",
+               "", "x", "\u00e9", "7.0", "1__0", "A11")
+_OUTCOME_VALUES = ("ok", "ko", "good", "bad", "1", "")
+
+
+@st.composite
+def csv_files(draw, max_corruptions):
+    """(text, good value, bad value) of a CSV file with an outcome column
+    `label`; each other column draws from its own pool of values int()
+    accepts or rejects.  Up to `max_corruptions` corruptions put an unknown
+    outcome value on a line or make it ragged."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "\u00e9"]), max_size=3, unique=True))
+    names.insert(draw(st.integers(0, len(names))), "label")
+    good, bad = draw(st.lists(st.sampled_from(_OUTCOME_VALUES), min_size=2, max_size=2,
+                              unique=True))
+    pools = [[good, bad] if name == "label" else
+             draw(st.lists(st.sampled_from(_CSV_VALUES), min_size=1, max_size=3))
+             for name in names]
+    n = draw(st.integers(1, 12))
+    rows = [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(n)]
+    label = names.index("label")
+    for _ in range(draw(st.integers(0, max_corruptions))):
+        i = draw(st.integers(0, n - 1))
+        if draw(st.booleans()) and label < len(rows[i]):  # not cut off a ragged row
+            rows[i][label] = draw(st.sampled_from(["OK", " ok", "maybe", "2"]))
+        else:
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["x"]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([names, *rows])
+    return text.getvalue(), good, bad
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader") / "data.csv"
+
+
+class TestCsvLoaderAgainstRowScan:
+    @given(csv_files(max_corruptions=0))
+    def test_well_formed_files_give_equal_datasets(self, csv_path, case):
+        text, good, bad = case
+        csv_path.write_text(text, encoding="utf-8")
+        got = _load(load_csv, csv_path, "label", good, bad)
+        assert got[0] == "ok"
+        assert got == _load(oracle.load_csv, csv_path, "label", good, bad)
+
+    @given(csv_files(max_corruptions=3))
+    def test_corrupted_files_give_the_same_error(self, csv_path, case):
+        text, good, bad = case
+        csv_path.write_text(text, encoding="utf-8")
+        assert _load(load_csv, csv_path, "label", good, bad) == _load(
+            oracle.load_csv, csv_path, "label", good, bad)
+
+    def test_good_value_equal_to_bad_value_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,label\n1,ok\n2,ok\n", encoding="utf-8")
+        assert _load(load_csv, path, "label", "ok", "ok") == (
+            ValueError, "good_value and bad_value are both 'ok'")
+
+
+# --- the sensitive-feature derivation against the per-row loops ---------------
+
+GERMAN = load_german_credit(GERMAN_PATH)
+# an age column may hold any int (or a float int() truncates) in a library dataset
+_AGES = st.one_of(st.integers(-5, 120), st.integers(-2 ** 70, 2 ** 70),
+                  st.sampled_from([26.9, 27.0, 47.5, 48.0]))
+_BAD_CODES = {"Attribute9": ["A99", "A201", "a92", "A92 ", ""],
+              "Attribute20": ["A203", "A91", "a201", "A201 ", ""]}
+
+
+@st.composite
+def german_datasets(draw, max_bad):
+    """Rows resampled from data/german.data, with free ages and up to
+    `max_bad` unmappable personal-status or foreign-worker codes; now and
+    then a source column is missing or the dataset is already derived."""
+    rows = draw(st.lists(st.integers(0, GERMAN.size - 1), min_size=1, max_size=25))
+    values = {c.name: [c.values[i] for i in rows] for c in GERMAN.columns}
+    values["Attribute13"] = [draw(st.one_of(st.just(age), _AGES))
+                             for age in values["Attribute13"]]
+    for _ in range(draw(st.integers(0, max_bad))):
+        name = draw(st.sampled_from(sorted(_BAD_CODES)))
+        values[name][draw(st.integers(0, len(rows) - 1))] = draw(
+            st.sampled_from(_BAD_CODES[name]))
+    missing = draw(st.sampled_from([None, None, None, "Attribute9", "Attribute13",
+                                    "Attribute20"]))
+    d = Dataset(columns=tuple(Column(c.name, c.kind, tuple(values[c.name]))
+                              for c in GERMAN.columns if c.name != missing),
+                outcome="outcome")
+    if missing is None and max_bad == 0 and draw(st.booleans()):
+        d = oracle.derive_sensitive_features(d)
+    return d
+
+
+class TestDerivationAgainstRowScan:
+    @given(german_datasets(max_bad=0))
+    def test_resampled_datasets_give_equal_columns(self, d):
+        assert _load(derive_sensitive_features, d) == _load(
+            oracle.derive_sensitive_features, d)
+
+    @given(german_datasets(max_bad=4))
+    def test_unmappable_codes_give_the_same_error(self, d):
+        assert _load(derive_sensitive_features, d) == _load(
+            oracle.derive_sensitive_features, d)
+
+    def test_non_integer_age_names_the_value(self):
+        # the one message that changed: int()'s own, now one naming the value
+        ages = ("x",) + GERMAN.column("Attribute13").values[1:]
+        d = GERMAN.with_columns([Column("Attribute13", CATEGORICAL, ages)])
+        assert _load(derive_sensitive_features, d) == (ValueError, "unmappable age 'x'")
+        assert _load(oracle.derive_sensitive_features, d) == (
+            ValueError, "invalid literal for int() with base 10: 'x'")
 
 
 # --- binning from count tables against the per-row fit ----------------------

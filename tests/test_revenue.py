@@ -2,7 +2,7 @@ import pytest
 
 from fairaudit import revenue as rv
 from fairaudit.detection import DetectionConfig
-from fairaudit.tabular import BAD, GOOD, FOREIGN, GENDER
+from fairaudit.tabular import BAD, GOOD, FOREIGN, GENDER, Column
 
 FEATURES = [GENDER, FOREIGN]
 NONSENS = ["Attribute1", "Attribute14"]
@@ -65,6 +65,11 @@ class TestWithPredictions:
         with pytest.raises(ValueError, match="one score per row"):
             rv.with_predictions(german, [1, 2, 3], 550)
 
+    def test_existing_prediction_column_rejected(self, german, scores):
+        d = rv.with_predictions(german, scores, 550)
+        with pytest.raises(ValueError, match="dataset column 'prediction' would be replaced"):
+            rv.with_predictions(d, scores, 600)
+
 
 class TestSweep:
     def test_provisions_identity_on_every_row(self, coarse_sweep, german, scores):
@@ -116,6 +121,12 @@ class TestSweep:
     def test_score_length_checked(self, german):
         with pytest.raises(ValueError, match="one score per row"):
             rv.sweep(german, [1, 2], [500], FEATURES, NONSENS, CFG)
+
+    def test_prediction_column_in_dataset_rejected(self, german, scores):
+        d = german.with_columns([Column(rv.PREDICTION_COLUMN, "categorical",
+                                        ("p", "q") * (german.size // 2))])
+        with pytest.raises(ValueError, match="dataset column 'prediction' would be replaced"):
+            rv.sweep(d, scores, [500], FEATURES, NONSENS, CFG)
 
     def test_negative_amounts_rejected(self, german, scores):
         from fairaudit.tabular import Column
