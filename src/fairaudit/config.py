@@ -1,12 +1,13 @@
 """Declarative audit configuration: one versioned JSON file drives a run.
 
-Defaults encode the canonical German Credit audit (sensitive features
+Every section's config dataclass lives here, and each default is written
+once, in its dataclass; loading a config imports no counting module.  The
+defaults encode the canonical German Credit audit (sensitive features
 gender / age_group / foreign, conditioning on Attribute1, 3, 6, 10, 12,
 14, rigour high, JS with max aggregation), so `audit` with no overrides
-reproduces it.  Each default is written once, in its dataclass.  A config
-file is overlaid onto those defaults field by field and checked against
-the field annotations, and every dataclass validates itself, so any bad
-value fails at load.  Unknown keys are rejected rather than ignored.
+reproduces it.  A config file is overlaid onto those defaults field by
+field and checked against the field annotations, and every dataclass
+validates itself, so any bad value fails at load.  Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -17,19 +18,124 @@ import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .detection import DetectionConfig
-from .revenue import RevenueConfig
-from .risk import MODES
-from .scorecard import ScorecardConfig
+from . import divergence as dv
 
 CONFIG_VERSION = 1
 
 GERMAN_FORMAT = "german"
 CSV_FORMAT = "csv"
 
+GROUP = "group"
+INDIVIDUAL = "individual"
+MODES = (GROUP, INDIVIDUAL)
+
 
 class ConfigError(ValueError):
     """Invalid or unreadable audit configuration."""
+
+
+@dataclass(frozen=True)
+class DetectionConfig:
+    r: str = dv.HIGH
+    aggregation: str = "max"
+    depth: int = 1
+    min_support: int = 10
+    intervals: dict[str, tuple[float, float]] = field(
+        default_factory=lambda: dict(dv.DEFAULT_INTERVALS))
+    c_ref: int = dv.DEFAULT_CLASS_REFERENCE
+
+    def __post_init__(self):
+        if self.aggregation not in dv.AGGREGATIONS:
+            raise ValueError(f"unknown aggregation {self.aggregation!r}")
+        if self.depth < 1:
+            raise ValueError("subclass depth must be >= 1")
+        if self.min_support < 0:
+            raise ValueError("min_support cannot be negative")
+        if not self.intervals.keys() <= {dv.HIGH, dv.LOW}:
+            raise ValueError(f"unknown rigour levels in intervals: {sorted(self.intervals)}")
+        if self.r not in self.intervals:
+            raise ValueError(f"unknown rigour level {self.r!r}")
+        for level, (lower, upper) in self.intervals.items():
+            if not 0.0 <= lower < upper <= 1.0:
+                raise ValueError(f"invalid threshold interval for {level!r}: [{lower}, {upper}]")
+        if self.c_ref <= 0:
+            raise ValueError("class reference count c_ref must be positive")
+
+
+@dataclass(frozen=True)
+class BinningConfig:
+    max_prebins: int = 20
+    min_bin_fraction: float = 0.05
+
+    def __post_init__(self):
+        if self.max_prebins < 1:
+            raise ValueError("max_prebins must be >= 1")
+        if not (0.0 <= self.min_bin_fraction < 1.0):
+            raise ValueError("min_bin_fraction must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
+class ScoreScaling:
+    pdo: float = 50.0
+    base_score: float = 600.0
+    base_odds: float = 10.0  # nominal good:bad odds at base_score (metadata)
+
+    def __post_init__(self):
+        if self.pdo <= 0:
+            raise ValueError("pdo must be positive")
+
+
+@dataclass(frozen=True)
+class ScorecardConfig:
+    # binning and scaling keys sit directly under `scorecard` in a config file
+    columns: tuple[str, ...] | None = None  # None -> all non-derived input columns
+    binning: BinningConfig = field(default_factory=BinningConfig, metadata={"flat": True})
+    learning_rate: float = 0.1
+    iterations: int = 4000
+    scaling: ScoreScaling = field(default_factory=ScoreScaling, metadata={"flat": True})
+    score_threshold: int = 550
+
+    def __post_init__(self):
+        if self.learning_rate <= 0 or self.iterations < 1:
+            raise ValueError("invalid gradient-descent configuration")
+        if self.columns is not None:
+            if not self.columns:
+                raise ValueError("columns: empty list (leave the key out to fit on "
+                                 "every input column)")
+            twice = [c for i, c in enumerate(self.columns) if c in self.columns[:i]]
+            if twice:
+                raise ValueError(f"columns: {twice[0]!r} is listed twice")
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """Inclusive score-threshold grid start, start+step, ..., <= stop."""
+
+    start: int = 300
+    stop: int = 800
+    step: int = 10
+
+    def __post_init__(self):
+        if self.step <= 0 or not self.values():
+            raise ValueError("empty sweep threshold grid: need step > 0 and start <= stop")
+
+    def values(self) -> list[int]:
+        return list(range(self.start, self.stop + 1, self.step))
+
+
+@dataclass(frozen=True)
+class RevenueConfig:
+    provision_factor: float = 0.2
+    interest_rate: float = 0.05
+    amount_column: str = "Attribute5"
+    interest_rate_column: str | None = None
+    thresholds: SweepGrid = field(default_factory=SweepGrid)
+
+    def __post_init__(self):
+        if not (0.0 <= self.provision_factor <= 1.0):
+            raise ValueError("provision_factor must lie in [0, 1]")
+        if not (0.0 <= self.interest_rate <= 1.0):
+            raise ValueError("interest_rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,13 @@ subclasses) become warnings on skipped lines, never crashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
+from .config import DetectionConfig
 from .tabular import (
     Dataset,
     FeaturePartition,
-    ProbabilityDistribution,
     SensitiveSpec,
     group_rows,
     label_distribution,
@@ -27,34 +27,6 @@ from . import divergence as dv
 
 VS_IDEAL = "vs_ideal"
 CLASS_VS_CLASS = "class_vs_class"
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    r: str = dv.HIGH
-    aggregation: str = "max"
-    depth: int = 1
-    min_support: int = 10
-    intervals: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(dv.DEFAULT_INTERVALS))
-    c_ref: int = dv.DEFAULT_CLASS_REFERENCE
-
-    def __post_init__(self):
-        if self.aggregation not in dv.AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
-        if self.depth < 1:
-            raise ValueError("subclass depth must be >= 1")
-        if self.min_support < 0:
-            raise ValueError("min_support cannot be negative")
-        if not self.intervals.keys() <= {dv.HIGH, dv.LOW}:
-            raise ValueError(f"unknown rigour levels in intervals: {sorted(self.intervals)}")
-        if self.r not in self.intervals:
-            raise ValueError(f"unknown rigour level {self.r!r}")
-        for level, (lower, upper) in self.intervals.items():
-            if not 0.0 <= lower < upper <= 1.0:
-                raise ValueError(f"invalid threshold interval for {level!r}: [{lower}, {upper}]")
-        if self.c_ref <= 0:
-            raise ValueError("class reference count c_ref must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,7 +76,7 @@ def _threshold(cfg: DetectionConfig, n_c: int, n_d: int, dataset_size: int) -> f
 
 def compare_to_ideal(d: Dataset, fp: FeaturePartition, outcome: str,
                      cfg: DetectionConfig,
-                     ideal: ProbabilityDistribution | None = None) -> list[TestLine]:
+                     ideal: dv.ProbabilityDistribution | None = None) -> list[TestLine]:
     """One line per class: normalised KL of the observed outcome
     distribution from the ideal (default: the pooled distribution over
     the whole dataset)."""

@@ -1,4 +1,4 @@
-"""Divergence kernel and the automatic violation threshold.
+"""Outcome distributions, divergence kernel and automatic violation threshold.
 
 All divergences use log base 2 over finite empirical distributions, with
 the measure-theoretic zero conventions: 0*log(0/q) = 0, and p>0 against
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .tabular import ProbabilityDistribution
 
 KL = "kl"
 KL_NORMALIZED = "kl_normalized"
@@ -27,6 +25,47 @@ DEFAULT_INTERVALS = {HIGH: (0.005, 0.025), LOW: (0.02, 0.10)}
 DEFAULT_CLASS_REFERENCE = 10
 
 AGGREGATIONS = ("max", "min", "mean")
+
+
+class EmptyClassError(ValueError):
+    """Distribution requested over an empty row set.
+
+    Raised instead of returning a degenerate distribution so that callers
+    can record a warning and skip the comparison rather than crash.
+    """
+
+
+@dataclass(frozen=True)
+class ProbabilityDistribution:
+    support: tuple[str, ...]
+    mass: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.support) != len(self.mass):
+            raise ValueError("support and mass lengths differ")
+        if any(m < 0.0 or m > 1.0 for m in self.mass):
+            raise ValueError("masses must lie in [0, 1]")
+        if abs(math.fsum(self.mass) - 1.0) > 1e-9:
+            raise ValueError("masses must sum to 1")
+
+    @classmethod
+    def from_counts(cls, support, counts) -> "ProbabilityDistribution":
+        """Empirical distribution from per-label counts.
+
+        The last nonzero mass is adjusted so the float masses sum to
+        exactly 1.0, which keeps degenerate divergence values (JS of
+        disjoint supports) exact.
+        """
+        counts = list(counts)
+        total = sum(counts)
+        if total <= 0:
+            raise EmptyClassError("cannot build a distribution from zero counts")
+        mass = [c / total for c in counts]
+        nonzero = [i for i, m in enumerate(mass) if m > 0.0]
+        last = nonzero[-1]
+        rest = [mass[i] for i in nonzero[:-1]]
+        mass[last] = max(0.0, float(math.fsum([1.0] + [-m for m in rest])))
+        return cls(tuple(support), tuple(mass))
 
 
 @dataclass(frozen=True)

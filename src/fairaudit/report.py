@@ -23,9 +23,7 @@ import json
 import numbers
 from importlib import resources
 
-from .revenue import SweepRow
 from .risk import HazardValue, RiskReport
-from .scorecard import Scorecard
 
 SCHEMA_NAMES = ("test_report", "risk_report", "hazard_comparison", "sweep")
 SCORECARD_FORMAT_VERSION = 1
@@ -236,9 +234,9 @@ def to_doc(obj):
     return doc
 
 
-def scorecard_doc(card: Scorecard) -> dict:
-    """`scorecard.json`: the card's fields, its format version and the score
-    points of every bin."""
+def scorecard_doc(card) -> dict:
+    """`scorecard.json`: the fields of a `scorecard.Scorecard`, its format
+    version and the score points of every bin."""
     doc = to_doc(card)
     for binning, points in zip(doc["binnings"], card.points):
         binning["points"] = list(points)
@@ -282,7 +280,9 @@ def read_scores_csv(path) -> list[int]:
     return scores
 
 
-def write_sweep_csv(path, rows: list[SweepRow]):
+def write_sweep_csv(path, rows):
+    """One line per `revenue.SweepRow`."""
+    from .revenue import SweepRow
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SweepRow.FIELDS)

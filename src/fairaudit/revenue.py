@@ -11,45 +11,14 @@ at each point, against the (threshold-independent) risk of the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .detection import DetectionConfig
-from .risk import MODES, run_battery
+from .config import MODES, DetectionConfig, RevenueConfig, SweepGrid  # noqa: F401
+from .risk import run_battery
 from .scorecard import classify
 from .tabular import BAD, GOOD, Dataset, Column, DERIVED
 
 PREDICTION_COLUMN = "prediction"
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Inclusive score-threshold grid start, start+step, ..., <= stop."""
-
-    start: int = 300
-    stop: int = 800
-    step: int = 10
-
-    def __post_init__(self):
-        if self.step <= 0 or not self.values():
-            raise ValueError("empty sweep threshold grid: need step > 0 and start <= stop")
-
-    def values(self) -> list[int]:
-        return list(range(self.start, self.stop + 1, self.step))
-
-
-@dataclass(frozen=True)
-class RevenueConfig:
-    provision_factor: float = 0.2
-    interest_rate: float = 0.05
-    amount_column: str = "Attribute5"
-    interest_rate_column: str | None = None
-    thresholds: SweepGrid = field(default_factory=SweepGrid)
-
-    def __post_init__(self):
-        if not (0.0 <= self.provision_factor <= 1.0):
-            raise ValueError("provision_factor must lie in [0, 1]")
-        if not (0.0 <= self.interest_rate <= 1.0):
-            raise ValueError("interest_rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .detection import TestReport, run_test
-
-GROUP = "group"
-INDIVIDUAL = "individual"
-MODES = (GROUP, INDIVIDUAL)
+from .config import GROUP, INDIVIDUAL, MODES
 
 
 @dataclass(frozen=True)
@@ -58,10 +52,6 @@ class HazardComparison:
     overall_difference: float
 
 
-def _cbrt(x: float) -> float:
-    return float(np.cbrt(x))
-
-
 def line_weight(k: int, total: int, mode: str) -> float:
     """Weight of a violation on a subclass fixed by k of `total` features.
 
@@ -80,8 +70,9 @@ def line_weight(k: int, total: int, mode: str) -> float:
     raise ValueError(f"unknown fairness mode {mode!r}")
 
 
-def hazard(report: TestReport, mode: str) -> HazardValue:
-    """Aggregate one test report into its hazard value."""
+def hazard(report, mode: str) -> HazardValue:
+    """Aggregate one `detection.TestReport` into its hazard value."""
+    import numpy as np
     total = len(report.conditioning_columns)
     contributions = []
     for line in report.lines:
@@ -91,7 +82,7 @@ def hazard(report: TestReport, mode: str) -> HazardValue:
         q = line.union_count / report.dataset_size
         excess = abs(line.divergence.value - line.epsilon)
         w = line_weight(len(line.conditions), total, mode)
-        contributions.append(q * _cbrt(line.epsilon) * _cbrt(excess) * w)
+        contributions.append(q * float(np.cbrt(line.epsilon)) * float(np.cbrt(excess)) * w)
     return HazardValue(test=report.sensitive_feature, mode=mode,
                        value=sum(contributions),
                        line_contributions=tuple(contributions))
@@ -112,6 +103,7 @@ def run_battery(d, outcome, features, nonsensitive, cfg, modes=MODES):
     Returns the per-feature test reports plus the aggregated risk over the
     (feature x mode) battery, in deterministic order.
     """
+    from .detection import run_test
     modes = tuple(modes)
     if not modes:
         raise ValueError("at least one fairness mode is required")
@@ -126,9 +118,13 @@ def compare_hazards(model: RiskReport, data: RiskReport) -> HazardComparison:
     A positive difference flags bias amplification by the model; a
     negative one means the model corrects bias present in the data.
     """
-    model_keys = [(h.test, h.mode) for h in model.hazards]
+    for name, risk in (("model", model), ("data", data)):
+        keys = [(h.test, h.mode) for h in risk.hazards]
+        twice = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+        if twice is not None:
+            raise ValueError(f"{name} risk report lists hazard {twice} twice")
     data_by_key = {(h.test, h.mode): h for h in data.hazards}
-    if set(model_keys) != set(data_by_key) or len(model_keys) != len(model.hazards):
+    if {(h.test, h.mode) for h in model.hazards} != data_by_key.keys():
         raise ValueError("model and data batteries cover different tests")
     entries = []
     for h in model.hazards:

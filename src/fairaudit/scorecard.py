@@ -34,21 +34,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import BinningConfig, ScorecardConfig, ScoreScaling
 from .tabular import BAD, GOOD, CATEGORICAL, DERIVED, INTEGER, Dataset, group_rows
 
 NUMERIC = "numeric"
-
-
-@dataclass(frozen=True)
-class BinningConfig:
-    max_prebins: int = 20
-    min_bin_fraction: float = 0.05
-
-    def __post_init__(self):
-        if self.max_prebins < 1:
-            raise ValueError("max_prebins must be >= 1")
-        if not (0.0 <= self.min_bin_fraction < 1.0):
-            raise ValueError("min_bin_fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -97,17 +86,6 @@ class BinningSpec:
             raise ValueError(f"unseen code {values[bins.index(None)]!r} for column "
                              f"{self.column!r} and no rest bin to absorb it")
         return np.array(bins, dtype=np.intp)
-
-
-@dataclass(frozen=True)
-class ScoreScaling:
-    pdo: float = 50.0
-    base_score: float = 600.0
-    base_odds: float = 10.0  # nominal good:bad odds at base_score (metadata)
-
-    def __post_init__(self):
-        if self.pdo <= 0:
-            raise ValueError("pdo must be positive")
 
 
 @dataclass(frozen=True)
@@ -288,28 +266,6 @@ def _fit_categorical(column, uniques, goods, bads, config) -> BinningSpec:
 
 
 # --- training ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScorecardConfig:
-    # binning and scaling keys sit directly under `scorecard` in a config file
-    columns: tuple[str, ...] | None = None  # None -> all non-derived input columns
-    binning: BinningConfig = field(default_factory=BinningConfig, metadata={"flat": True})
-    learning_rate: float = 0.1
-    iterations: int = 4000
-    scaling: ScoreScaling = field(default_factory=ScoreScaling, metadata={"flat": True})
-    score_threshold: int = 550
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.iterations < 1:
-            raise ValueError("invalid gradient-descent configuration")
-        if self.columns is not None:
-            if not self.columns:
-                raise ValueError("columns: empty list (leave the key out to fit on "
-                                 "every input column)")
-            twice = [c for i, c in enumerate(self.columns) if c in self.columns[:i]]
-            if twice:
-                raise ValueError(f"columns: {twice[0]!r} is listed twice")
-
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+
+from .divergence import EmptyClassError, ProbabilityDistribution
 
 GOOD = "good"
 BAD = "bad"
@@ -34,14 +35,6 @@ DERIVED = "derived"
 
 class ParseError(ValueError):
     """Malformed input file (bad field count, unknown code, empty file)."""
-
-
-class EmptyClassError(ValueError):
-    """Distribution requested over an empty row set.
-
-    Raised instead of returning a degenerate distribution so that callers
-    can record a warning and skip the comparison rather than crash.
-    """
 
 
 class Encoding(NamedTuple):
@@ -78,17 +71,23 @@ def group_rows(size: int, keys) -> tuple[np.ndarray, np.ndarray]:
     """Group `size` rows by their joint code over several columns.
 
     `keys` yields one `(codes, n_codes)` pair per column, with every code
-    in `[0, n_codes)`.  The codes are folded into one int64 key per row,
-    re-ranked after each column so it stays below `size`.  Returns
-    `(first_rows, group)`: `group[i]` is the rank of row i's code tuple
-    among the distinct tuples in sorted order, and `first_rows[g]` is the
-    first row of group g.
+    in `[0, n_codes)` and `size * n_codes` within int64.  The codes are
+    folded into one mixed-radix int64 key per row, which orders rows as
+    their code tuples order; the key is re-ranked (which keeps that order)
+    only when the next fold could pass int64, and once at the end.
+    Returns `(first_rows, group)`: `group[i]` is the rank of row i's code
+    tuple among the distinct tuples in sorted order, and `first_rows[g]`
+    is the first row of group g.
     """
-    group = np.zeros(size, dtype=np.int64)
-    first_rows = np.zeros(min(size, 1), dtype=np.intp)
+    key = np.zeros(size, dtype=np.int64)
+    radix = 1  # every key lies in [0, radix)
     for codes, n_codes in keys:
-        _, first_rows, group = np.unique(group * n_codes + codes,
-                                         return_index=True, return_inverse=True)
+        if radix * n_codes > 2 ** 63:  # the largest key would pass int64
+            ranks, key = np.unique(key, return_inverse=True)
+            radix = len(ranks)
+        key = key * n_codes + codes
+        radix *= n_codes
+    _, first_rows, group = np.unique(key, return_index=True, return_inverse=True)
     return first_rows, group
 
 
@@ -180,39 +179,6 @@ class FeaturePartition:
     @property
     def covered(self) -> int:
         return sum(len(rows) for rows in self.cells.values())
-
-
-@dataclass(frozen=True)
-class ProbabilityDistribution:
-    support: tuple[str, ...]
-    mass: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.support) != len(self.mass):
-            raise ValueError("support and mass lengths differ")
-        if any(m < 0.0 or m > 1.0 for m in self.mass):
-            raise ValueError("masses must lie in [0, 1]")
-        if abs(math.fsum(self.mass) - 1.0) > 1e-9:
-            raise ValueError("masses must sum to 1")
-
-    @classmethod
-    def from_counts(cls, support, counts) -> "ProbabilityDistribution":
-        """Empirical distribution from per-label counts.
-
-        The last nonzero mass is adjusted so the float masses sum to
-        exactly 1.0, which keeps degenerate divergence values (JS of
-        disjoint supports) exact.
-        """
-        counts = list(counts)
-        total = sum(counts)
-        if total <= 0:
-            raise EmptyClassError("cannot build a distribution from zero counts")
-        mass = [c / total for c in counts]
-        nonzero = [i for i, m in enumerate(mass) if m > 0.0]
-        last = nonzero[-1]
-        rest = [mass[i] for i in nonzero[:-1]]
-        mass[last] = max(0.0, float(math.fsum([1.0] + [-m for m in rest])))
-        return cls(tuple(support), tuple(mass))
 
 
 # --- German Credit loader -------------------------------------------------

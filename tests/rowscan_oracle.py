@@ -3,7 +3,8 @@ scoring cores.
 
 These are the original per-row versions of `tabular.partition`,
 `tabular.label_distribution` and the subclass enumeration of
-`detection.subclass_double_check` (test_counting_oracle.py), of the
+`detection.subclass_double_check`, and the per-column grouping of
+`tabular.group_rows` (test_counting_oracle.py), of the
 scorecard's value-to-bin mapping, logistic fit and scoring
 (test_scorecard.py), and of the German Credit and CSV loaders, the
 sensitive-feature derivation and the binning fit (test_columnar_oracle.py).
@@ -204,6 +205,24 @@ def partition(d: Dataset, feature: SensitiveSpec, conditions=()) -> FeatureParti
     return FeaturePartition(feature=feature,
                             cells={c: tuple(rows) for c, rows in cells.items()},
                             conditions=conditions)
+
+
+def group_rows(size: int, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Group `size` rows by their joint code over several columns.
+
+    `keys` yields one `(codes, n_codes)` pair per column, with every code
+    in `[0, n_codes)`.  The codes are folded into one int64 key per row,
+    re-ranked after each column so it stays below `size`.  Returns
+    `(first_rows, group)`: `group[i]` is the rank of row i's code tuple
+    among the distinct tuples in sorted order, and `first_rows[g]` is the
+    first row of group g.
+    """
+    group = np.zeros(size, dtype=np.int64)
+    first_rows = np.zeros(min(size, 1), dtype=np.intp)
+    for codes, n_codes in keys:
+        _, first_rows, group = np.unique(group * n_codes + codes,
+                                         return_index=True, return_inverse=True)
+    return first_rows, group
 
 
 def label_distribution(d: Dataset, rows, outcome: str) -> ProbabilityDistribution:

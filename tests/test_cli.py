@@ -131,6 +131,22 @@ class TestCompare:
         assert code == 1
         assert "different tests" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("repeated", ["model", "data"])
+    def test_repeated_hazard_exit_1(self, outputs, tmp_path, capsys, repeated):
+        paths = {target: os.path.join(outputs, f"risk_report_{target}.json")
+                 for target in ("model", "data")}
+        doc = read_json(paths[repeated])
+        doc["hazards"].append({**doc["hazards"][0], "value": 0.7})
+        paths[repeated] = tmp_path / "repeated.json"
+        paths[repeated].write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("compare", str(paths["model"]), str(paths["data"]), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        first = doc["hazards"][0]
+        assert err == (f"error: {repeated} risk report lists hazard "
+                       f"('{first['test']}', '{first['mode']}') twice\n")
+        assert not out.exists()
+
     def test_swapped_targets_rejected(self, outputs, tmp_path, capsys):
         code = run("compare",
                    os.path.join(outputs, "risk_report_data.json"),
@@ -507,23 +523,44 @@ class TestMalformedInputs:
         assert not out.exists()
 
 
+# what only the counting commands (train, audit, sweep) or a failed schema
+# check may load
+COUNTING_MODULES = ("numpy", "jsonschema", "fairaudit.tabular", "fairaudit.scorecard",
+                    "fairaudit.detection", "fairaudit.revenue")
+
+
 class TestStartup:
-    def test_cli_and_compare_do_not_import_jsonschema(self, outputs, tmp_path):
-        program = ("import sys\n"
-                   "import fairaudit.cli\n"
-                   "assert 'jsonschema' not in sys.modules, 'loaded by the import'\n"
-                   "assert fairaudit.cli.main(sys.argv[1:]) == 0\n"
-                   "assert 'jsonschema' not in sys.modules, 'loaded by compare'\n")
+    @staticmethod
+    def _fresh(program, *argv):
+        """Run `program` in a fresh interpreter that checks `loaded(<when>)`."""
+        header = ("import sys\n"
+                  "def loaded(when):\n"
+                  f"    found = sorted(sys.modules.keys() & set({COUNTING_MODULES!r}))\n"
+                  "    assert not found, f'{found} loaded by {when}'\n"
+                  "import fairaudit.cli\n"
+                  "loaded('the import')\n")
         package_root = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run(
-            [sys.executable, "-c", program, "compare",
-             os.path.join(outputs, "risk_report_model.json"),
-             os.path.join(outputs, "risk_report_data.json"), "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", header + program, *argv],
+                              env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        return proc
+
+    def test_cli_and_compare_load_no_counting_module(self, outputs, tmp_path):
+        self._fresh("assert fairaudit.cli.main(sys.argv[1:]) == 0\n"
+                    "loaded('compare')\n",
+                    "compare", os.path.join(outputs, "risk_report_model.json"),
+                    os.path.join(outputs, "risk_report_data.json"), "--out", str(tmp_path))
         assert (tmp_path / "hazard_comparison.json").exists()
+
+    def test_help_loads_no_counting_module(self):
+        proc = self._fresh("try:\n"
+                           "    fairaudit.cli.main(['--help'])\n"
+                           "except SystemExit as exc:\n"
+                           "    assert exc.code == 0\n"
+                           "loaded('--help')\n")
+        assert proc.stdout.startswith("usage: fairaudit")
 
 
 class TestReportHelpers:

@@ -1,8 +1,9 @@
 """The encoded counting core against the row-scan oracle on small
 generated datasets: same cells, counts, subclass order and errors."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import rowscan_oracle as oracle
 from fairaudit.detection import DetectionConfig, subclass_double_check
@@ -15,6 +16,7 @@ from fairaudit.tabular import (
     Column,
     Dataset,
     SensitiveSpec,
+    group_rows,
     label_distribution,
     partition,
 )
@@ -48,6 +50,20 @@ def audits(draw):
                          Column("outcome", CATEGORICAL, column(st.sampled_from((GOOD, BAD))))),
                 outcome="outcome")
     return d, SensitiveSpec("s", "s", classes), [c.name for c in cols]
+
+
+@st.composite
+def keyed_rows(draw):
+    """(size, [(codes, n_codes), ...]): a few rows keyed by up to six columns
+    whose code ranges multiply past int64, each within int64 times `size`."""
+    size = draw(st.integers(0, 30))
+    keys = []
+    for _ in range(draw(st.integers(0, 6))):
+        n_codes = draw(st.one_of(st.integers(1, 4), st.integers(1, 2 ** 63 // 32)))
+        codes = draw(st.lists(st.integers(0, min(n_codes - 1, 3)) | st.integers(0, n_codes - 1),
+                              min_size=size, max_size=size))
+        keys.append((np.array(codes, dtype=np.int64), n_codes))
+    return size, keys
 
 
 def _outcome(fn, *args):
@@ -84,6 +100,17 @@ class TestAgainstRowScan:
         assert [line.conditions for line in lines] == expected
         assert [line.union_count for line in lines] == [
             oracle.partition(d, spec, c).covered for c in expected]
+
+    @given(keyed_rows())
+    # mixed-radix keys of up to 2**64 - 1 and of exactly 2**63 - 1
+    @example((2, [(np.array([2 ** 32 - 1, 0]), 2 ** 32)] * 2))
+    @example((2, [(np.array([2 ** 32 - 1, 0]), 2 ** 32), (np.array([2 ** 31 - 1, 0]), 2 ** 31)]))
+    def test_group_rows(self, keyed):
+        size, keys = keyed
+        got, want = group_rows(size, iter(keys)), oracle.group_rows(size, iter(keys))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tolist() == w.tolist()
 
     def test_undeclared_label_reported_in_row_order(self):
         d = Dataset(columns=(Column("x", CATEGORICAL, ("a", "b", "a", "b")),

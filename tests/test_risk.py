@@ -171,6 +171,16 @@ class TestCompareHazards:
         with pytest.raises(ValueError, match="different tests"):
             risk.compare_hazards(model, data)
 
+    @pytest.mark.parametrize("repeated", ["model", "data"])
+    def test_repeated_hazard_rejected(self, repeated):
+        once = self._report({("sex", "group"): 0.01, ("age", "group"): 0.02})
+        hazards = once.hazards + (risk.HazardValue("sex", "group", 0.7, (0.7,)),)
+        twice = risk.overall_risk(hazards)
+        model, data = (twice, once) if repeated == "model" else (once, twice)
+        with pytest.raises(ValueError) as exc:
+            risk.compare_hazards(model, data)
+        assert str(exc.value) == f"{repeated} risk report lists hazard ('sex', 'group') twice"
+
 
 class TestRunBattery:
     def test_battery_shape_and_order(self, german):
