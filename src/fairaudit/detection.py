@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .config import DetectionConfig
 from .tabular import (
     Dataset,
@@ -22,6 +24,7 @@ from .tabular import (
     group_rows,
     label_distribution,
     partition,
+    sensitive_labels,
 )
 from . import divergence as dv
 
@@ -132,30 +135,37 @@ def subclass_double_check(d: Dataset, feature: SensitiveSpec, outcome: str,
     Subclasses are all joint value assignments, observed in the data, of
     up to `cfg.depth` non-sensitive columns (columns in the given order,
     values sorted).  Subclasses with fewer than `cfg.min_support` rows are
-    skipped with a warning.
+    skipped with a warning; they are counted but not partitioned, unless
+    one of their rows has an undeclared class label, on which `partition`
+    raises.
     """
     nonsensitive = list(nonsensitive)
     for col in nonsensitive:
         d.column(col)  # raises on unknown column
+    if not nonsensitive:
+        return []
+    labels, declared = sensitive_labels(d, feature)  # raises as `partition` would
+    undeclared = ~declared[labels.codes]
 
     lines = []
     for depth in range(1, cfg.depth + 1):
         for combo in combinations(nonsensitive, depth):
             # group order is the sorted order of the value tuples
             encodings = (d.column(col).encoded for col in combo)
-            first_rows, _ = group_rows(d.size, ((e.codes, len(e.uniques)) for e in encodings))
-            for row in first_rows.tolist():
+            first_rows, group = group_rows(d.size, ((e.codes, len(e.uniques)) for e in encodings))
+            supports = np.bincount(group).tolist()
+            undeclared_counts = np.bincount(group[undeclared], minlength=len(first_rows)).tolist()
+            for row, support, n_undeclared in zip(first_rows.tolist(), supports,
+                                                  undeclared_counts):
                 conditions = tuple((col, d.column(col).values[row]) for col in combo)
-                fp = partition(d, feature, conditions)
-                support = fp.covered
-                if support < cfg.min_support:
+                if support < cfg.min_support and not n_undeclared:
                     lines.append(TestLine(
                         conditions=conditions, compared=(), union_count=support,
                         divergence=None, epsilon=None, violated=False,
                         warnings=(f"subclass support {support} below minimum "
                                   f"{cfg.min_support}; skipped",)))
                     continue
-                lines.append(compare_classes(d, fp, outcome, cfg))
+                lines.append(compare_classes(d, partition(d, feature, conditions), outcome, cfg))
     return lines
 
 

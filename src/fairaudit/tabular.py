@@ -375,11 +375,21 @@ def sensitive_spec_for(d: Dataset, name: str) -> SensitiveSpec:
 
 # --- Partitions and distributions ------------------------------------------
 
+def sensitive_labels(d: Dataset, feature: SensitiveSpec) -> tuple[Encoding, np.ndarray]:
+    """The encoding of the sensitive column and, for each of its codes,
+    whether that label is a declared class of `feature`."""
+    if not d.has_column(feature.column):
+        raise ValueError(f"sensitive column {feature.column!r} not in dataset")
+    labels = d.column(feature.column).encoded
+    declared = np.zeros(len(labels.uniques), dtype=bool)
+    declared[[labels.index[c] for c in feature.classes if c in labels.index]] = True
+    return labels, declared
+
+
 def partition(d: Dataset, feature: SensitiveSpec,
               conditions=()) -> FeaturePartition:
     """Partition the rows matching `conditions` by sensitive class."""
-    if not d.has_column(feature.column):
-        raise ValueError(f"sensitive column {feature.column!r} not in dataset")
+    labels, declared = sensitive_labels(d, feature)
     conditions = tuple((str(c), v) for c, v in conditions)
     mask = np.ones(d.size, dtype=bool)
     for col, value in conditions:
@@ -388,11 +398,8 @@ def partition(d: Dataset, feature: SensitiveSpec,
             raise ValueError(f"value {value!r} never occurs in column {col!r}")
         mask &= enc.codes == enc.index[value]
 
-    labels = d.column(feature.column).encoded
     rows = np.flatnonzero(mask)
     codes = labels.codes[rows]
-    declared = np.zeros(len(labels.uniques), dtype=bool)
-    declared[[labels.index[c] for c in feature.classes if c in labels.index]] = True
     undeclared = ~declared[codes]
     if undeclared.any():
         label = labels.uniques[codes[undeclared.argmax()]]

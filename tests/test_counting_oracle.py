@@ -74,8 +74,8 @@ def _outcome(fn, *args):
 
 
 class TestAgainstRowScan:
-    @given(audits(), st.integers(1, 3))
-    def test_partitions_counts_and_subclasses(self, audit, depth):
+    @given(audits(), st.integers(1, 3), st.sampled_from((0, 1, 3, 10)))
+    def test_partitions_counts_and_subclasses(self, audit, depth, min_support):
         d, spec, cols = audit
         expected = oracle.subclass_conditions(d, cols, depth)
         unknown = [[("nope", "a")], [(cols[0], "never")], [(cols[0], 99)]]
@@ -89,7 +89,7 @@ class TestAgainstRowScan:
                     assert (_outcome(label_distribution, d, rows, outcome)
                             == _outcome(oracle.label_distribution, d, rows, outcome))
 
-        cfg = DetectionConfig(depth=depth, min_support=0)
+        cfg = DetectionConfig(depth=depth, min_support=min_support)
         try:
             lines = subclass_double_check(d, spec, "outcome", cols, cfg)
         except ValueError as exc:

@@ -170,6 +170,29 @@ class TestSubclassDoubleCheck:
         skipped = [l for l in lines if l.skipped]
         assert skipped and all("below minimum" in l.warnings[0] for l in skipped)
 
+    def test_starved_subclasses_are_not_partitioned(self, german, monkeypatch):
+        from fairaudit.tabular import GENDER
+        calls = []
+        monkeypatch.setattr(det, "partition", lambda *args: calls.append(args))
+        cfg = det.DetectionConfig(depth=2, min_support=10_000)
+        lines = det.subclass_double_check(german, GENDER, "outcome",
+                                          ["Attribute1", "Attribute3"], cfg)
+        assert calls == []
+        assert all(l.skipped and "below minimum" in l.warnings[0] for l in lines)
+        assert sum(l.union_count for l in lines[:4]) == german.size
+
+    def test_undeclared_label_in_starved_subclass_raises(self):
+        # the only undeclared label sits in a one-row subclass below min_support
+        d = Dataset(columns=(
+            Column("x", "categorical", ("a", "a", "a", "b", "b", "b", "c")),
+            Column("s", "derived", ("c0", "c1", "c0", "c1", "c0", "c1", "zz")),
+            Column("outcome", "categorical", (GOOD, BAD) * 3 + (GOOD,)),
+        ), outcome="outcome")
+        spec = SensitiveSpec("s", "s", ("c0", "c1"))
+        cfg = det.DetectionConfig(min_support=2)
+        with pytest.raises(ValueError, match="class label 'zz' outside declared classes of 's'"):
+            det.subclass_double_check(d, spec, "outcome", ["x"], cfg)
+
     def test_foreign_audit_has_skipped_lines(self, german):
         cfg = det.DetectionConfig()
         report = det.run_test(german, FOREIGN, "outcome",
