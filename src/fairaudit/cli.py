@@ -59,6 +59,9 @@ def _resolve_features(d, cfg: AuditConfig):
         features = [sensitive_spec_for(d, name) for name in cfg.sensitive_features]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for f in features:
+        if f.column == d.outcome:
+            raise ConfigError(f"sensitive_features: {f.name!r} is the outcome column")
     for col in cfg.conditioning_columns:
         if not d.has_column(col):
             raise ConfigError(f"conditioning column {col!r} not in dataset")

@@ -4,9 +4,8 @@ A fairness test produces lines.  The top-level line compares the outcome
 distributions of the sensitive classes pairwise (Jensen-Shannon,
 aggregated); the double-check lines redo that comparison inside every
 observed subclass obtained by fixing non-sensitive feature values.
-Classes compared against a reference ("ideal") distribution use the
-normalised KL instead.  Degenerate cases (empty classes, starved
-subclasses) become warnings on skipped lines, never crashes.
+Degenerate cases (empty classes, starved subclasses) become warnings on
+skipped lines, never crashes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .tabular import (
 )
 from . import divergence as dv
 
-VS_IDEAL = "vs_ideal"
 CLASS_VS_CLASS = "class_vs_class"
 
 
@@ -63,7 +61,7 @@ class TestLine:
 @dataclass(frozen=True)
 class TestReport:
     sensitive_feature: str
-    mode: str  # VS_IDEAL | CLASS_VS_CLASS
+    mode: str  # always CLASS_VS_CLASS
     divergence_kind: str
     aggregation_mode: str
     dataset_size: int
@@ -75,33 +73,6 @@ class TestReport:
 def _threshold(cfg: DetectionConfig, n_c: int, n_d: int, dataset_size: int) -> float:
     return dv.auto_threshold(cfg.r, n_c, n_d, dataset_size,
                              intervals=cfg.intervals, c_ref=cfg.c_ref).epsilon
-
-
-def compare_to_ideal(d: Dataset, fp: FeaturePartition, outcome: str,
-                     cfg: DetectionConfig,
-                     ideal: dv.ProbabilityDistribution | None = None) -> list[TestLine]:
-    """One line per class: normalised KL of the observed outcome
-    distribution from the ideal (default: the pooled distribution over
-    the whole dataset)."""
-    if ideal is None:
-        ideal = label_distribution(d, range(d.size), outcome)
-    n_c = len(fp.feature.classes)
-    lines = []
-    for cls in fp.feature.classes:
-        rows = fp.cells[cls]
-        if not rows:
-            lines.append(TestLine(
-                conditions=fp.conditions, compared=(cls,), union_count=0,
-                divergence=None, epsilon=None, violated=False,
-                warnings=(f"class '{cls}' is empty; comparison skipped",)))
-            continue
-        observed = label_distribution(d, rows, outcome)
-        div = dv.kl_normalized(ideal, observed)
-        eps = _threshold(cfg, n_c, len(rows), d.size)
-        lines.append(TestLine(
-            conditions=fp.conditions, compared=(cls,), union_count=len(rows),
-            divergence=div, epsilon=eps, violated=div.value > eps))
-    return lines
 
 
 def compare_classes(d: Dataset, fp: FeaturePartition, outcome: str,
@@ -170,26 +141,16 @@ def subclass_double_check(d: Dataset, feature: SensitiveSpec, outcome: str,
 
 
 def run_test(d: Dataset, feature: SensitiveSpec, outcome: str,
-             nonsensitive, cfg: DetectionConfig,
-             mode: str = CLASS_VS_CLASS) -> TestReport:
+             nonsensitive, cfg: DetectionConfig) -> TestReport:
     """One full fairness test: top-level comparison plus subclass lines,
     assembled in deterministic order."""
-    top = partition(d, feature, ())
-    if mode == CLASS_VS_CLASS:
-        lines = [compare_classes(d, top, outcome, cfg)]
-        lines.extend(subclass_double_check(d, feature, outcome, nonsensitive, cfg))
-        kind = dv.JS
-    elif mode == VS_IDEAL:
-        lines = list(compare_to_ideal(d, top, outcome, cfg))
-        kind = dv.KL_NORMALIZED
-    else:
-        raise ValueError(f"unknown test mode {mode!r}")
+    lines = [compare_classes(d, partition(d, feature, ()), outcome, cfg)]
+    lines.extend(subclass_double_check(d, feature, outcome, nonsensitive, cfg))
 
     warnings = ()
     if all(line.skipped for line in lines):
         warnings = ("every comparison was skipped; see line warnings",)
-    return TestReport(sensitive_feature=feature.name, mode=mode,
-                      divergence_kind=kind, aggregation_mode=cfg.aggregation,
-                      dataset_size=d.size,
-                      conditioning_columns=tuple(nonsensitive) if mode == CLASS_VS_CLASS else (),
+    return TestReport(sensitive_feature=feature.name, mode=CLASS_VS_CLASS,
+                      divergence_kind=dv.JS, aggregation_mode=cfg.aggregation,
+                      dataset_size=d.size, conditioning_columns=tuple(nonsensitive),
                       lines=tuple(lines), warnings=warnings)

@@ -167,18 +167,14 @@ class FeaturePartition:
     """
 
     feature: SensitiveSpec
-    cells: dict  # class label -> tuple of row indices
+    cells: dict  # class label -> ascending np.intp array of row indices
     conditions: tuple[tuple[str, str], ...]
 
     def non_empty(self) -> list[str]:
-        return [c for c in self.feature.classes if self.cells[c]]
+        return [c for c in self.feature.classes if len(self.cells[c])]
 
     def empty(self) -> list[str]:
-        return [c for c in self.feature.classes if not self.cells[c]]
-
-    @property
-    def covered(self) -> int:
-        return sum(len(rows) for rows in self.cells.values())
+        return [c for c in self.feature.classes if not len(self.cells[c])]
 
 
 # --- German Credit loader -------------------------------------------------
@@ -405,7 +401,7 @@ def partition(d: Dataset, feature: SensitiveSpec,
         label = labels.uniques[codes[undeclared.argmax()]]
         raise ValueError(f"class label {label!r} outside declared classes "
                          f"of {feature.name!r}")
-    cells = {c: tuple(rows[codes == labels.index[c]].tolist()) if c in labels.index else ()
+    cells = {c: rows[codes == labels.index[c]] if c in labels.index else rows[:0]
              for c in feature.classes}
     return FeaturePartition(feature=feature, cells=cells, conditions=conditions)
 
@@ -417,10 +413,10 @@ def label_distribution(d: Dataset, rows, outcome: str) -> ProbabilityDistributio
     of different cells are always comparable.  An empty row set raises
     EmptyClassError (a signal for the caller, not a crash).
     """
-    rows = tuple(rows)
-    if not rows:
+    rows = np.asarray(rows, dtype=np.intp)
+    if len(rows) == 0:
         raise EmptyClassError(f"empty row set for outcome {outcome!r}")
     enc = d.column(outcome).encoded
-    picked = enc.codes[np.fromiter(rows, dtype=np.intp, count=len(rows))]
+    picked = enc.codes[rows]
     counts = np.bincount(picked, minlength=len(enc.uniques))
     return ProbabilityDistribution.from_counts(enc.uniques, counts.tolist())

@@ -332,10 +332,11 @@ def _csv_scored_case(column, value_of_row, doc, command=("sweep",)):
     return argv
 
 
-def _sweep_case(doc):
+def _scored_case(doc, command=("sweep",)):
+    """`command` given the scores file of the default run."""
     def argv(tmp_path, outputs, german_path):
-        scores = ("sweep", "--scores", os.path.join(outputs, "scores.csv"))
-        return _config_case(doc, scores)(tmp_path, outputs, german_path)
+        scored = (*command, "--scores", os.path.join(outputs, "scores.csv"))
+        return _config_case(doc, scored)(tmp_path, outputs, german_path)
     return argv
 
 
@@ -396,6 +397,10 @@ def _undecodable_copy(name, command):
     return argv
 
 
+_OUTCOME_SENSITIVE = {"sensitive_features": ["gender", "outcome"]}
+_OUTCOME_SENSITIVE_ERROR = "sensitive_features: 'outcome' is the outcome column"
+
+
 MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
     "reversed_interval": (_config_case({"detection": {"intervals": {"high": [0.3, 0.1]}}}),
                           "detection: invalid threshold interval for 'high'"),
@@ -423,6 +428,13 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
     "duplicate_scorecard_column": (
         _config_case({"scorecard": {"columns": ["Attribute1", "Attribute1"]}}, ("train",)),
         "scorecard.columns: 'Attribute1' is listed twice"),
+    "outcome_as_sensitive_feature_data": (
+        _config_case(_OUTCOME_SENSITIVE), _OUTCOME_SENSITIVE_ERROR),
+    "outcome_as_sensitive_feature_model": (
+        _scored_case(_OUTCOME_SENSITIVE, ("audit", "--target", "model")),
+        _OUTCOME_SENSITIVE_ERROR),
+    "outcome_as_sensitive_feature_sweep": (
+        _scored_case(_OUTCOME_SENSITIVE), _OUTCOME_SENSITIVE_ERROR),
     "empty_sensitive_features": (_config_case({"sensitive_features": []}),
                                  "sensitive_features: empty list"),
     "repeated_sensitive_feature": (
@@ -442,19 +454,19 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
         _csv_case({"sensitive_features": ["group"], "conditioning_columns": ["income"]},
                   bad_value="ok"),
         "dataset.bad_value: 'ok' is also the good_value"),
-    "missing_interest_rate_column": (_sweep_case({"revenue": {"interest_rate_column": "nope"}}),
-                                     "interest rate column 'nope' not in dataset"),
+    "missing_interest_rate_column": (_scored_case({"revenue": {"interest_rate_column": "nope"}}),
+                                      "interest rate column 'nope' not in dataset"),
     "non_numeric_amount_column": (
-        _sweep_case({"revenue": {"amount_column": "Attribute1"}}),
+        _scored_case({"revenue": {"amount_column": "Attribute1"}}),
         "revenue.amount_column: credit amount column 'Attribute1' is not numeric"),
     "non_numeric_interest_rate_column": (
-        _sweep_case({"revenue": {"interest_rate_column": "Attribute1"}}),
+        _scored_case({"revenue": {"interest_rate_column": "Attribute1"}}),
         "revenue.interest_rate_column: interest rate column 'Attribute1' is not numeric"),
     "negative_credit_amount": (_negative_amount_case,
                                "revenue.amount_column: column 'Attribute5' holds negative "
                                "credit amounts"),
     "interest_rates_above_one": (
-        _sweep_case({"revenue": {"interest_rate_column": "Attribute2"}}),
+        _scored_case({"revenue": {"interest_rate_column": "Attribute2"}}),
         "revenue.interest_rate_column: column 'Attribute2' holds interest rates "
         "outside [0, 1]"),
     "non_finite_credit_amounts": (

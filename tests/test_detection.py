@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from fairaudit import detection as det
@@ -46,45 +44,6 @@ def disjoint_dataset():
     grp = ["x"] * 20
     outcome = [GOOD] * 10 + [BAD] * 10
     return build(sex, grp, outcome)
-
-
-class TestCompareToIdeal:
-    def test_all_equal_to_pooled(self):
-        d = balanced_dataset()
-        lines = det.compare_to_ideal(d, partition(d, SEX), "outcome", CFG)
-        assert len(lines) == 2
-        for line in lines:
-            assert line.divergence.value == 0.0
-            assert not line.violated
-
-    def test_degenerate_class_vs_even_pool(self):
-        d = disjoint_dataset()
-        lines = det.compare_to_ideal(d, partition(d, SEX), "outcome", CFG)
-        # pooled is (0.5, 0.5); a degenerate class lacks support the ideal
-        # requires, so KL(ideal || observed) is infinite and normalises to 1
-        for line in lines:
-            assert line.divergence.kind == dv.KL_NORMALIZED
-            assert line.divergence.value == 1.0
-            assert line.violated
-
-    def test_skewed_class_value(self):
-        # class 'a' is 3 good / 1 bad, class 'b' 1 good / 3 bad; pooled (.5, .5)
-        sex = ["a"] * 4 + ["b"] * 4
-        outcome = [GOOD, GOOD, GOOD, BAD, GOOD, BAD, BAD, BAD]
-        d = build(sex, ["x"] * 8, outcome)
-        lines = det.compare_to_ideal(d, partition(d, SEX), "outcome", CFG)
-        want = 1.0 - math.exp(-(0.5 * math.log2(0.5 / 0.25)
-                                + 0.5 * math.log2(0.5 / 0.75)))
-        for line in lines:
-            assert line.divergence.value == pytest.approx(want, abs=1e-12)
-
-    def test_empty_class_skipped_with_warning(self):
-        d = build(["a"] * 6, ["x"] * 6, [GOOD, BAD] * 3)
-        lines = det.compare_to_ideal(d, partition(d, SEX), "outcome", CFG)
-        skipped = [l for l in lines if l.skipped]
-        assert len(skipped) == 1
-        assert skipped[0].compared == ("b",)
-        assert "empty" in skipped[0].warnings[0]
 
 
 class TestCompareClasses:
@@ -235,13 +194,6 @@ class TestRunTest:
                 assert not line.violated
             else:
                 assert line.violated == (line.divergence.value > line.epsilon)
-
-    def test_vs_ideal_mode(self, german):
-        from fairaudit.tabular import GENDER
-        r = det.run_test(german, GENDER, "outcome", self.COLS, CFG, mode=det.VS_IDEAL)
-        assert r.mode == det.VS_IDEAL
-        assert r.divergence_kind == dv.KL_NORMALIZED
-        assert len(r.lines) == 2  # one per class
 
     def test_relabelling_classes_preserves_divergences(self):
         d = disjoint_dataset()

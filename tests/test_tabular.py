@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from fairaudit.tabular import (
     GOOD,
     ParseError,
     ProbabilityDistribution,
+    SensitiveSpec,
     age_bracket,
     derive_sensitive_features,
     label_distribution,
@@ -172,7 +174,7 @@ class TestPartition:
         fp = partition(german, GENDER)
         assert len(fp.cells["male"]) == 690
         assert len(fp.cells["female"]) == 310
-        assert fp.covered == german.size
+        assert sum(len(rows) for rows in fp.cells.values()) == german.size
 
     def test_condition_filters(self, german):
         fp = partition(german, GENDER, [("Attribute10", "A103")])
@@ -202,6 +204,20 @@ class TestPartition:
             assert not (union & set(rows))
             union |= set(rows)
         assert union == matching
+
+    def test_cells_are_ascending_index_arrays(self, german):
+        fp = partition(german, AGE_GROUP, [("Attribute1", "A14")])
+        d = Dataset(columns=(Column("s", "categorical", ("a", "a")),
+                             Column("outcome", "categorical", (GOOD, BAD))), outcome="outcome")
+        empty = partition(d, SensitiveSpec("s", "s", ("a", "b")))
+        for rows in (*fp.cells.values(), *empty.cells.values()):
+            assert rows.dtype == np.intp and rows.ndim == 1
+            assert (np.diff(rows) > 0).all()
+        assert empty.cells["b"].tolist() == [] and empty.empty() == ["b"]
+        span = range(100, 400)
+        assert (label_distribution(german, span, "outcome")
+                == label_distribution(german, np.arange(100, 400), "outcome")
+                == label_distribution(german, tuple(span), "outcome"))
 
     def test_unknown_column(self, german):
         with pytest.raises(ValueError, match="unknown column"):
