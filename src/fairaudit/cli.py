@@ -74,12 +74,7 @@ def _out_dir(cfg: AuditConfig) -> str:
 
 
 def _read_scores(path: str | None, d) -> list[int]:
-    """The model's score of every row of `d`.  The caller adds the model's
-    classifications to `d` as a column of their own, so `d` must not hold one."""
-    from .revenue import PREDICTION_COLUMN
-    if d.has_column(PREDICTION_COLUMN):
-        raise ConfigError(f"dataset column {PREDICTION_COLUMN!r} would be replaced by "
-                          "the model's classifications; rename it")
+    """The model's score of every row of `d`."""
     if path is None:
         raise ConfigError("--scores is required for this command")
     if not os.path.exists(path):
@@ -144,7 +139,10 @@ def cmd_audit(args) -> int:
 
     if args.target == MODEL:
         scores = _read_scores(args.scores, d)
-        d = rv.with_predictions(d, scores, cfg.scorecard.score_threshold)
+        try:  # a dataset column of the classifications' name is an input error
+            d = rv.with_predictions(d, scores, cfg.scorecard.score_threshold)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         outcome = rv.PREDICTION_COLUMN
     else:
         outcome = d.outcome

@@ -5,7 +5,8 @@ distributions of the sensitive classes pairwise (Jensen-Shannon,
 aggregated); the double-check lines redo that comparison inside every
 observed subclass obtained by fixing non-sensitive feature values.
 Degenerate cases (empty classes, starved subclasses) become warnings on
-skipped lines, never crashes.
+skipped lines, never crashes.  A test is planned once and evaluated under
+any number of labellings: the data's outcome, or each sweep threshold.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .tabular import (
     SensitiveSpec,
     group_rows,
     label_distribution,
+    outcome_levels,
     partition,
     sensitive_labels,
 )
@@ -59,6 +61,17 @@ class TestLine:
 
 
 @dataclass(frozen=True)
+class Comparison:
+    """A planned line to compare: all of it that no labelling changes."""
+
+    conditions: tuple[tuple[str, str], ...]
+    cells: dict  # compared (non-empty) class -> its row indices
+    union_count: int
+    epsilon: float
+    warnings: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class TestReport:
     sensitive_feature: str
     mode: str  # always CLASS_VS_CLASS
@@ -70,45 +83,41 @@ class TestReport:
     warnings: tuple[str, ...] = ()
 
 
-def _threshold(cfg: DetectionConfig, n_c: int, n_d: int, dataset_size: int) -> float:
-    return dv.auto_threshold(cfg.r, n_c, n_d, dataset_size,
-                             intervals=cfg.intervals, c_ref=cfg.c_ref).epsilon
-
-
-def compare_classes(d: Dataset, fp: FeaturePartition, outcome: str,
-                    cfg: DetectionConfig) -> TestLine:
-    """Pairwise Jensen-Shannon over the non-empty classes, aggregated into
-    a single line; empty classes surface as warnings."""
+def _plan_line(d: Dataset, fp: FeaturePartition, cfg: DetectionConfig) -> TestLine | Comparison:
+    """The line of a partition: empty classes surface as warnings, and fewer
+    than 2 non-empty classes make a skipped line."""
     warnings = tuple(f"class '{cls}' is empty; excluded from comparison"
                      for cls in fp.empty())
     present = fp.non_empty()
     union_count = sum(len(fp.cells[c]) for c in present)
     if len(present) < 2:
-        return TestLine(
-            conditions=fp.conditions, compared=tuple(present),
-            union_count=union_count, divergence=None, epsilon=None,
-            violated=False,
-            warnings=warnings + ("fewer than 2 non-empty classes; comparison skipped",))
-
-    dists = {cls: label_distribution(d, fp.cells[cls], outcome) for cls in present}
-    values = [dv.js(dists[a], dists[b]) for a, b in combinations(present, 2)]
-    agg = dv.aggregate(values, cfg.aggregation)
-    eps = _threshold(cfg, len(fp.feature.classes), union_count, d.size)
-    return TestLine(conditions=fp.conditions, compared=tuple(present),
-                    union_count=union_count, divergence=agg, epsilon=eps,
-                    violated=agg.value > eps, warnings=warnings)
+        return TestLine(conditions=fp.conditions, compared=tuple(present), union_count=union_count,
+                        divergence=None, epsilon=None, violated=False,
+                        warnings=warnings + ("fewer than 2 non-empty classes; comparison skipped",))
+    eps = dv.auto_threshold(cfg.r, len(fp.feature.classes), union_count, d.size,
+                            intervals=cfg.intervals, c_ref=cfg.c_ref).epsilon
+    return Comparison(conditions=fp.conditions, cells={c: fp.cells[c] for c in present},
+                      union_count=union_count, epsilon=eps, warnings=warnings)
 
 
-def subclass_double_check(d: Dataset, feature: SensitiveSpec, outcome: str,
-                          nonsensitive, cfg: DetectionConfig) -> list[TestLine]:
-    """Class-vs-class comparison inside every observed subclass.
+def compare_classes(line: Comparison, dists, cfg: DetectionConfig) -> TestLine:
+    """Pairwise Jensen-Shannon over the compared classes' outcome
+    distributions (in `line.cells` order), aggregated into a single line."""
+    agg = dv.aggregate([dv.js(p, q) for p, q in combinations(dists, 2)], cfg.aggregation)
+    return TestLine(conditions=line.conditions, compared=tuple(line.cells),
+                    union_count=line.union_count, divergence=agg, epsilon=line.epsilon,
+                    violated=agg.value > line.epsilon, warnings=line.warnings)
+
+
+def subclass_double_check(d: Dataset, feature: SensitiveSpec, nonsensitive,
+                          cfg: DetectionConfig) -> list[TestLine | Comparison]:
+    """The class-vs-class lines of every observed subclass, planned.
 
     Subclasses are all joint value assignments, observed in the data, of
     up to `cfg.depth` non-sensitive columns (columns in the given order,
     values sorted).  Subclasses with fewer than `cfg.min_support` rows are
-    skipped with a warning; they are counted but not partitioned, unless
-    one of their rows has an undeclared class label, on which `partition`
-    raises.
+    skipped with a warning; they are counted but not partitioned, unless one
+    of their rows has an undeclared class label, on which `partition` raises.
     """
     nonsensitive = list(nonsensitive)
     for col in nonsensitive:
@@ -136,21 +145,40 @@ def subclass_double_check(d: Dataset, feature: SensitiveSpec, outcome: str,
                         warnings=(f"subclass support {support} below minimum "
                                   f"{cfg.min_support}; skipped",)))
                     continue
-                lines.append(compare_classes(d, partition(d, feature, conditions), outcome, cfg))
+                lines.append(_plan_line(d, partition(d, feature, conditions), cfg))
     return lines
+
+
+def _evaluate(line: Comparison, levels, labellings: int, cfg: DetectionConfig) -> list[TestLine]:
+    """The line under each labelling; one whose distributions equal the
+    previous labelling's reuses that labelling's line."""
+    per_class = [label_distribution(levels, rows, labellings) for rows in line.cells.values()]
+    out, last = [], None
+    for dists in zip(*per_class):
+        if dists != last:
+            evaluated, last = compare_classes(line, dists, cfg), dists
+        out.append(evaluated)
+    return out
+
+
+def run_tests(d: Dataset, feature: SensitiveSpec, levels, labellings: int,
+              nonsensitive, cfg: DetectionConfig) -> list[TestReport]:
+    """One full fairness test per labelling (row r is good under labelling i
+    iff `i < levels[r]`): top-level line, then the subclass lines."""
+    nonsensitive = tuple(nonsensitive)
+    planned = [_plan_line(d, partition(d, feature, ()), cfg)]
+    planned += subclass_double_check(d, feature, nonsensitive, cfg)
+    columns = [_evaluate(line, levels, labellings, cfg) if isinstance(line, Comparison)
+               else [line] * labellings for line in planned]
+    all_skipped = ("every comparison was skipped; see line warnings",)
+    return [TestReport(sensitive_feature=feature.name, mode=CLASS_VS_CLASS,
+                       divergence_kind=dv.JS, aggregation_mode=cfg.aggregation,
+                       dataset_size=d.size, conditioning_columns=nonsensitive, lines=lines,
+                       warnings=all_skipped if all(line.skipped for line in lines) else ())
+            for lines in zip(*columns)]
 
 
 def run_test(d: Dataset, feature: SensitiveSpec, outcome: str,
              nonsensitive, cfg: DetectionConfig) -> TestReport:
-    """One full fairness test: top-level comparison plus subclass lines,
-    assembled in deterministic order."""
-    lines = [compare_classes(d, partition(d, feature, ()), outcome, cfg)]
-    lines.extend(subclass_double_check(d, feature, outcome, nonsensitive, cfg))
-
-    warnings = ()
-    if all(line.skipped for line in lines):
-        warnings = ("every comparison was skipped; see line warnings",)
-    return TestReport(sensitive_feature=feature.name, mode=CLASS_VS_CLASS,
-                      divergence_kind=dv.JS, aggregation_mode=cfg.aggregation,
-                      dataset_size=d.size, conditioning_columns=tuple(nonsensitive),
-                      lines=tuple(lines), warnings=warnings)
+    """One full fairness test of the good/bad labels in column `outcome`."""
+    return run_tests(d, feature, outcome_levels(d, outcome), 1, nonsensitive, cfg)[0]

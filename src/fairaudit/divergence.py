@@ -95,17 +95,21 @@ def _check_supports(p: ProbabilityDistribution, q: ProbabilityDistribution):
         raise ValueError(f"mismatched supports: {p.support} vs {q.support}")
 
 
-def kl(p: ProbabilityDistribution, q: ProbabilityDistribution) -> DivergenceValue:
-    """Kullback-Leibler divergence of p from q, in bits."""
-    _check_supports(p, q)
+def _kl_bits(p_mass, q_mass) -> float:
     terms = []
-    for pi, qi in zip(p.mass, q.mass):
+    for pi, qi in zip(p_mass, q_mass):
         if pi == 0.0:
             continue
         if qi == 0.0:
-            return DivergenceValue(KL, math.inf)
+            return math.inf
         terms.append(pi * math.log2(pi / qi))
-    return DivergenceValue(KL, max(0.0, math.fsum(terms)))
+    return max(0.0, math.fsum(terms))
+
+
+def kl(p: ProbabilityDistribution, q: ProbabilityDistribution) -> DivergenceValue:
+    """Kullback-Leibler divergence of p from q, in bits."""
+    _check_supports(p, q)
+    return DivergenceValue(KL, _kl_bits(p.mass, q.mass))
 
 
 def kl_normalized(p: ProbabilityDistribution, q: ProbabilityDistribution) -> DivergenceValue:
@@ -114,16 +118,12 @@ def kl_normalized(p: ProbabilityDistribution, q: ProbabilityDistribution) -> Div
     return DivergenceValue(KL_NORMALIZED, min(1.0, 1.0 - math.exp(-d)))
 
 
-def _mixture(p: ProbabilityDistribution, q: ProbabilityDistribution) -> ProbabilityDistribution:
-    mass = tuple((pi + qi) / 2.0 for pi, qi in zip(p.mass, q.mass))
-    return ProbabilityDistribution(p.support, mass)
-
-
 def js(p: ProbabilityDistribution, q: ProbabilityDistribution) -> DivergenceValue:
-    """Jensen-Shannon divergence (symmetric, finite, in [0, 1])."""
+    """Jensen-Shannon divergence (symmetric, finite, in [0, 1]).  The
+    mixture is a plain mass tuple: it is positive wherever p or q is."""
     _check_supports(p, q)
-    m = _mixture(p, q)
-    value = (kl(p, m).value + kl(q, m).value) / 2.0
+    m = tuple((pi + qi) / 2.0 for pi, qi in zip(p.mass, q.mass))
+    value = (_kl_bits(p.mass, m) + _kl_bits(q.mass, m)) / 2.0
     return DivergenceValue(JS, min(1.0, max(0.0, value)))
 
 

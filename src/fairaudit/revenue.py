@@ -4,17 +4,21 @@ Acceptance at a score threshold splits applicants; among the accepted,
 the observed default labels give the bad rate, provisions reserve a
 fixed fraction of the exposed credit, and profit is interest income on
 accepted non-defaulters minus provisions.  The sweep walks a threshold
-grid and re-runs the full fairness battery on the model's classifications
-at each point, against the (threshold-independent) risk of the data.
+grid and weighs the fairness risk of the model's classifications at each
+point (one labelling of a battery planned once) against the data's risk.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import MODES, DetectionConfig, RevenueConfig, SweepGrid  # noqa: F401
-from .risk import run_battery
+from .detection import run_tests
+from .risk import battery_risk, run_battery
 from .scorecard import classify
 from .tabular import BAD, GOOD, Dataset, Column, DERIVED
 
@@ -116,12 +120,14 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
 
     _, data_risk = run_battery(d, d.outcome, features, nonsensitive, det_cfg, modes)
 
+    # accepted at threshold t iff t < level (score >= threshold), in exact ints
+    levels = np.array([bisect_right(thresholds, s) for s in scores], dtype=np.intp)
+    model = [run_tests(d, f, levels, len(thresholds), nonsensitive, det_cfg) for f in features]
+
     rows = []
-    for threshold in thresholds:
-        accepted = [i for i, s in enumerate(scores) if s >= threshold]
-        warnings = ()
-        if not accepted:
-            warnings = ("no rows accepted at this threshold",)
+    for t, threshold in enumerate(thresholds):
+        accepted = np.flatnonzero(levels > t).tolist()
+        warnings = () if accepted else ("no rows accepted at this threshold",)
         br = bad_rate([outcomes[i] for i in accepted])
         total_credit = sum(amounts[i] for i in accepted)
         prov = provisions(total_credit, br, rev_cfg.provision_factor)
@@ -129,9 +135,7 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
         prof = profit([amounts[i] for i in performing],
                       [rates[i] for i in performing], prov)
 
-        audited = with_predictions(d, scores, threshold)
-        _, model_risk = run_battery(audited, PREDICTION_COLUMN, features,
-                                    nonsensitive, det_cfg, modes)
+        model_risk = battery_risk([reports[t] for reports in model], modes)
         rows.append(SweepRow(
             threshold=threshold, accepted_count=len(accepted), bad_rate=br,
             provisions=prov, profit=prof,

@@ -97,19 +97,20 @@ def overall_risk(hazards) -> RiskReport:
                       overall=sum(h.value for h in hazards) / len(hazards))
 
 
-def run_battery(d, outcome, features, nonsensitive, cfg, modes=MODES):
-    """Run one fairness test per feature and weigh it under each mode.
-
-    Returns the per-feature test reports plus the aggregated risk over the
-    (feature x mode) battery, in deterministic order.
-    """
-    from .detection import run_test
+def battery_risk(reports, modes=MODES) -> RiskReport:
+    """The risk of the (test x mode) battery, in deterministic order."""
     modes = tuple(modes)
     if not modes:
         raise ValueError("at least one fairness mode is required")
+    return overall_risk(hazard(r, mode) for r in reports for mode in modes)
+
+
+def run_battery(d, outcome, features, nonsensitive, cfg, modes=MODES):
+    """Run one fairness test per feature; return the per-feature test
+    reports and their risk (`battery_risk`)."""
+    from .detection import run_test
     reports = [run_test(d, f, outcome, nonsensitive, cfg) for f in features]
-    hazards = [hazard(r, mode) for r in reports for mode in modes]
-    return reports, overall_risk(hazards)
+    return reports, battery_risk(reports, modes)
 
 
 def compare_hazards(model: RiskReport, data: RiskReport) -> HazardComparison:

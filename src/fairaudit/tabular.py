@@ -406,17 +406,25 @@ def partition(d: Dataset, feature: SensitiveSpec,
     return FeaturePartition(feature=feature, cells=cells, conditions=conditions)
 
 
-def label_distribution(d: Dataset, rows, outcome: str) -> ProbabilityDistribution:
-    """Empirical outcome distribution over a row-index set.
-
-    The support is the outcome domain of the full dataset, so distributions
-    of different cells are always comparable.  An empty row set raises
-    EmptyClassError (a signal for the caller, not a crash).
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    if len(rows) == 0:
-        raise EmptyClassError(f"empty row set for outcome {outcome!r}")
+def outcome_levels(d: Dataset, outcome: str) -> np.ndarray:
+    """A good/bad column as the levels of one labelling: 1 good, 0 bad."""
     enc = d.column(outcome).encoded
-    picked = enc.codes[rows]
-    counts = np.bincount(picked, minlength=len(enc.uniques))
-    return ProbabilityDistribution.from_counts(enc.uniques, counts.tolist())
+    if not set(enc.uniques) <= {GOOD, BAD}:
+        raise ValueError(f"outcome column {outcome!r} holds values outside {{good, bad}}")
+    return (enc.codes == enc.index.get(GOOD, -1)).astype(np.intp)
+
+
+def label_distribution(levels: np.ndarray, rows, labellings: int) -> list[ProbabilityDistribution]:
+    """The (bad, good) distribution of a row-index set under each labelling
+    i < `labellings`, where row r is good iff `i < levels[r]`: one reversed
+    cumulative sum of the level counts.  Consecutive labellings with equal
+    counts share one object; an empty row set raises EmptyClassError."""
+    rows = np.asarray(rows, dtype=np.intp)
+    at_least = np.cumsum(np.bincount(levels[rows], minlength=labellings + 1)[::-1])[::-1]
+    dists, last = [], None
+    for good in at_least[1:labellings + 1].tolist():
+        if good != last:
+            dist = ProbabilityDistribution.from_counts((BAD, GOOD), (len(rows) - good, good))
+            last = good
+        dists.append(dist)
+    return dists

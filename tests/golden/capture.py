@@ -4,8 +4,9 @@
     PYTHONPATH=src python3 tests/golden/capture.py --check [NAME ...]
 
 NAME is `default` (the README pipeline: train, both audits, sweep and
-compare) or `depth3` (`audit --target data` with subclass depth 3); no NAME
-means both.  Each run goes through `cli.main` in a fresh directory, and its
+compare), `depth3` (`audit --target data` with subclass depth 3) or
+`depth3_sweep` (the default `train`, then `sweep` with subclass depth 3); no
+NAME means all three.  Each run goes through `cli.main` in a fresh directory, and its
 files are stored as tests/golden/<NAME>.tar.xz.  `--check` runs again and
 exits 1 naming the first file and line that differ from the archive.
 
@@ -40,16 +41,25 @@ def run_default(out: str) -> None:
           os.path.join(out, "risk_report_data.json"), "--out", out])
 
 
-def run_depth3(out: str) -> None:
+def _with_depth3_config(out: str, *commands) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
         with open(config, "w", encoding="utf-8") as fh:
             json.dump({"detection": {"depth": 3}}, fh)
-        _cli(["audit", "--target", "data", "--config", config,
-              "--dataset", GERMAN_PATH, "--out", out])
+        for argv in commands:
+            _cli([*argv, "--config", config, "--dataset", GERMAN_PATH, "--out", out])
 
 
-RUNS = {"default": run_default, "depth3": run_depth3}
+def run_depth3(out: str) -> None:
+    _with_depth3_config(out, ["audit", "--target", "data"])
+
+
+def run_depth3_sweep(out: str) -> None:
+    _cli(["train", "--dataset", GERMAN_PATH, "--out", out])
+    _with_depth3_config(out, ["sweep", "--scores", os.path.join(out, "scores.csv")])
+
+
+RUNS = {"default": run_default, "depth3": run_depth3, "depth3_sweep": run_depth3_sweep}
 
 
 def _cli(argv) -> None:

@@ -3,12 +3,14 @@ scoring cores.
 
 These are the original per-row versions of `tabular.partition`,
 `tabular.label_distribution` and the subclass enumeration of
-`detection.subclass_double_check`, and the per-column grouping of
-`tabular.group_rows` (test_counting_oracle.py), of the
-scorecard's value-to-bin mapping, logistic fit and scoring
-(test_scorecard.py), and of the German Credit and CSV loaders, the
-sensitive-feature derivation and the binning fit (test_columnar_oracle.py).
-They are kept only as a differential oracle for the columnar versions.
+`detection.subclass_double_check`, the per-column grouping of
+`tabular.group_rows`, the threshold sweep as one battery per threshold
+and the Kullback-Leibler and Jensen-Shannon kernels over a validated
+mixture distribution (test_counting_oracle.py), of the scorecard's value-to-bin mapping,
+logistic fit and scoring (test_scorecard.py), and of the German Credit
+and CSV loaders, the sensitive-feature derivation and the binning fit
+(test_columnar_oracle.py).  They are kept only as a differential oracle
+for the columnar versions.
 """
 
 import csv
@@ -19,6 +21,18 @@ from itertools import combinations
 
 import numpy as np
 
+from fairaudit import divergence as dv
+from fairaudit.config import MODES, DetectionConfig, RevenueConfig
+from fairaudit.revenue import (
+    PREDICTION_COLUMN,
+    SweepRow,
+    bad_rate,
+    credit_columns,
+    profit,
+    provisions,
+    with_predictions,
+)
+from fairaudit.risk import run_battery
 from fairaudit.scorecard import (
     CATEGORICAL,
     NUMERIC,
@@ -236,6 +250,77 @@ def label_distribution(d: Dataset, rows, outcome: str) -> ProbabilityDistributio
     for r in rows:
         counts[index[values[r]]] += 1
     return ProbabilityDistribution.from_counts(support, counts)
+
+
+def kl(p: ProbabilityDistribution, q: ProbabilityDistribution) -> dv.DivergenceValue:
+    """Kullback-Leibler divergence of p from q, in bits."""
+    dv._check_supports(p, q)
+    terms = []
+    for pi, qi in zip(p.mass, q.mass):
+        if pi == 0.0:
+            continue
+        if qi == 0.0:
+            return dv.DivergenceValue(dv.KL, math.inf)
+        terms.append(pi * math.log2(pi / qi))
+    return dv.DivergenceValue(dv.KL, max(0.0, math.fsum(terms)))
+
+
+def _mixture(p: ProbabilityDistribution, q: ProbabilityDistribution) -> ProbabilityDistribution:
+    mass = tuple((pi + qi) / 2.0 for pi, qi in zip(p.mass, q.mass))
+    return ProbabilityDistribution(p.support, mass)
+
+
+def js(p: ProbabilityDistribution, q: ProbabilityDistribution) -> dv.DivergenceValue:
+    """Jensen-Shannon divergence (symmetric, finite, in [0, 1])."""
+    dv._check_supports(p, q)
+    m = _mixture(p, q)
+    value = (kl(p, m).value + kl(q, m).value) / 2.0
+    return dv.DivergenceValue(dv.JS, min(1.0, max(0.0, value)))
+
+
+def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
+          det_cfg: DetectionConfig = DetectionConfig(),
+          modes=MODES,
+          rev_cfg: RevenueConfig = RevenueConfig()) -> list[SweepRow]:
+    """Profit and fairness-risk trade-off over an ascending threshold grid,
+    with a fresh battery on the model's classifications at each threshold."""
+    thresholds = list(thresholds)
+    if not thresholds:
+        raise ValueError("threshold grid is empty")
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("threshold grid must be strictly ascending")
+    scores = list(scores)
+    if len(scores) != d.size:
+        raise ValueError("one score per row required")
+
+    amounts, rates = credit_columns(d, rev_cfg)
+    outcomes = d.column(d.outcome).values
+
+    _, data_risk = run_battery(d, d.outcome, features, nonsensitive, det_cfg, modes)
+
+    rows = []
+    for threshold in thresholds:
+        accepted = [i for i, s in enumerate(scores) if s >= threshold]
+        warnings = ()
+        if not accepted:
+            warnings = ("no rows accepted at this threshold",)
+        br = bad_rate([outcomes[i] for i in accepted])
+        total_credit = sum(amounts[i] for i in accepted)
+        prov = provisions(total_credit, br, rev_cfg.provision_factor)
+        performing = [i for i in accepted if outcomes[i] == GOOD]
+        prof = profit([amounts[i] for i in performing],
+                      [rates[i] for i in performing], prov)
+
+        audited = with_predictions(d, scores, threshold)
+        _, model_risk = run_battery(audited, PREDICTION_COLUMN, features,
+                                    nonsensitive, det_cfg, modes)
+        rows.append(SweepRow(
+            threshold=threshold, accepted_count=len(accepted), bad_rate=br,
+            provisions=prov, profit=prof,
+            model_risk=model_risk.overall, data_risk=data_risk.overall,
+            risk_difference=model_risk.overall - data_risk.overall,
+            warnings=warnings))
+    return rows
 
 
 def subclass_conditions(d: Dataset, nonsensitive, max_depth: int) -> list:

@@ -175,6 +175,19 @@ class TestSweepCommand:
         jsonschema.validate(doc, report.load_schema("sweep"))
         assert [r["threshold"] for r in doc["rows"]] == [500, 600, 700]
 
+    def test_prediction_column_in_dataset_accepted(self, tmp_path, outputs, german_path):
+        # the sweep builds no column of classifications, so a dataset column
+        # named `prediction` is data like any other
+        rows = {}
+        for column in ("prediction", "other"):
+            argv = _csv_scored_case(column, lambda i: "pq"[i % 2],
+                                    {"conditioning_columns": [column],
+                                     "revenue": {"amount_column": "income"}})
+            out = tmp_path / column
+            assert run(*argv(tmp_path, outputs, german_path), "--out", str(out)) == 0
+            rows[column] = read_json(out / "sweep.json")["rows"]
+        assert rows["prediction"] == rows["other"]
+
     def test_empty_grid_exit_2(self, tmp_path, german_path, outputs, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -478,11 +491,6 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
                          {"revenue": {"amount_column": "income",
                                       "interest_rate_column": "rate"}}),
         "revenue.interest_rate_column: column 'rate' holds interest rates outside [0, 1]"),
-    "prediction_column_in_sweep": (
-        _csv_scored_case("prediction", lambda i: "pq"[i % 2],
-                         {"conditioning_columns": ["prediction"],
-                          "revenue": {"amount_column": "income"}}),
-        "dataset column 'prediction' would be replaced by the model's classifications"),
     "prediction_column_in_model_audit": (
         _csv_scored_case("prediction", lambda i: "pq"[i % 2],
                          {"conditioning_columns": ["prediction"]},

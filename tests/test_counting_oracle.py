@@ -1,12 +1,17 @@
 """The encoded counting core against the row-scan oracle on small
-generated datasets: same cells, counts, subclass order and errors."""
+generated datasets: same cells, counts, subclass order and errors; the
+threshold sweep against one battery per threshold, row for row; and the
+divergence kernel against its validated-mixture version, bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import rowscan_oracle as oracle
+from fairaudit import divergence as dv
+from fairaudit.config import MODES, RevenueConfig
 from fairaudit.detection import DetectionConfig, subclass_double_check
+from fairaudit.revenue import sweep
 from fairaudit.tabular import (
     BAD,
     CATEGORICAL,
@@ -15,9 +20,11 @@ from fairaudit.tabular import (
     INTEGER,
     Column,
     Dataset,
+    ProbabilityDistribution,
     SensitiveSpec,
     group_rows,
     label_distribution,
+    outcome_levels,
     partition,
 )
 
@@ -27,7 +34,7 @@ _STRINGS = st.text(alphabet="aB\x00é", max_size=2)
 
 
 @st.composite
-def audits(draw):
+def audits(draw, undeclared=True):
     """(dataset, sensitive spec, conditioning column names)."""
     n = draw(st.integers(1, 24))
 
@@ -38,7 +45,7 @@ def audits(draw):
     # labels use a prefix of the classes (later classes may have no rows),
     # and up to two labels that are not declared at all
     used = classes[:draw(st.integers(1, len(classes)))]
-    used += ("zz", "yy")[:draw(st.integers(0, 2))]
+    used += ("zz", "yy")[:draw(st.integers(0, 2 if undeclared else 0))]
     cols = []
     for j in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
@@ -66,11 +73,40 @@ def keyed_rows(draw):
     return size, keys
 
 
+@st.composite
+def sweeps(draw):
+    """(dataset with an `amount` column, sensitive spec, conditioning
+    columns, scores, threshold grid), with declared class labels only (the
+    battery's errors are the audits' own).  Scores and thresholds share a
+    small range, so scores tie with thresholds, and some grids lie wholly
+    below or above every score."""
+    d, spec, cols = draw(audits(undeclared=False))
+    amounts = draw(st.lists(st.integers(0, 50), min_size=d.size, max_size=d.size))
+    d = d.with_columns([Column("amount", INTEGER, tuple(amounts))])
+    scores = draw(st.lists(st.integers(0, 4), min_size=d.size, max_size=d.size))
+    lowest = draw(st.integers(-4, 5))
+    grid = sorted(draw(st.sets(st.integers(lowest, lowest + 3), min_size=1, max_size=4)))
+    return d, spec, cols, scores, grid
+
+
+@st.composite
+def count_pairs(draw):
+    """Two non-zero count vectors over one support of 1 to 4 labels."""
+    size = draw(st.integers(1, 4))
+    counts = st.lists(st.integers(0, 40), min_size=size, max_size=size).filter(any)
+    return draw(counts), draw(counts)
+
+
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
+
+
+def _label_masses(dist):
+    """A distribution as label -> mass, over the labels it gives mass to."""
+    return {label: m for label, m in zip(dist.support, dist.mass) if m}
 
 
 class TestAgainstRowScan:
@@ -90,14 +126,16 @@ class TestAgainstRowScan:
             assert ({c: tuple(r.tolist()) for c, r in fp.cells.items()}
                     == expected_fp.cells)
             assert (fp.feature, fp.conditions) == (expected_fp.feature, expected_fp.conditions)
+            levels = outcome_levels(d, "outcome")
             for rows in fp.cells.values():
-                for outcome in ("outcome", "s", *cols):
-                    assert (_outcome(label_distribution, d, rows, outcome)
-                            == _outcome(oracle.label_distribution, d, rows, outcome))
+                if len(rows):
+                    dist, = label_distribution(levels, rows, 1)
+                    assert (_label_masses(dist)
+                            == _label_masses(oracle.label_distribution(d, rows, "outcome")))
 
         cfg = DetectionConfig(depth=depth, min_support=min_support)
         try:
-            lines = subclass_double_check(d, spec, "outcome", cols, cfg)
+            lines = subclass_double_check(d, spec, cols, cfg)
         except ValueError as exc:
             first_error = next(err for err in (_outcome(oracle.partition, d, spec, c)
                                                for c in expected) if err[0] != "ok")
@@ -128,3 +166,41 @@ class TestAgainstRowScan:
         for conditions, label in (((), "zz"), ((("x", "a"),), "yy")):
             with pytest.raises(ValueError, match=f"class label '{label}' outside"):
                 partition(d, spec, conditions)
+
+
+class TestSweepAgainstPerThresholdBatteries:
+    @given(sweeps(), st.integers(1, 2), st.sampled_from(dv.AGGREGATIONS),
+           st.sampled_from((0, 1, 3, 10)))
+    def test_every_row_equal(self, case, depth, aggregation, min_support):
+        d, spec, cols, scores, grid = case
+        args = (d, scores, grid, [spec], cols,
+                DetectionConfig(depth=depth, aggregation=aggregation, min_support=min_support),
+                MODES, RevenueConfig(amount_column="amount"))
+        assert _outcome(sweep, *args) == _outcome(oracle.sweep, *args)
+
+    def test_scores_past_int64(self):
+        # 2**62 and 2**62 + 1 are one float64: a float level would accept the
+        # 2**62 row at threshold 2**62 + 1
+        d = Dataset(columns=(Column("x", CATEGORICAL, ("a", "a", "b", "b")),
+                             Column("s", DERIVED, ("c0", "c1", "c0", "c1")),
+                             Column("amount", INTEGER, (1, 2, 3, 4)),
+                             Column("outcome", CATEGORICAL, (GOOD, BAD, GOOD, GOOD))),
+                    outcome="outcome")
+        scores = [2 ** 62, 2 ** 64 - 1, -10 ** 30, 2 ** 62 + 1]
+        grid = [-10 ** 30, 2 ** 62, 2 ** 62 + 1, 2 ** 64]
+        args = (d, scores, grid, [SensitiveSpec("s", "s", ("c0", "c1"))], ["x"],
+                DetectionConfig(min_support=0), MODES, RevenueConfig(amount_column="amount"))
+        rows = sweep(*args)
+        assert rows == oracle.sweep(*args)
+        assert [row.accepted_count for row in rows] == [4, 3, 2, 0]
+
+
+class TestKernel:
+    @given(count_pairs())
+    @example(([3, 0], [0, 5]))  # disjoint supports
+    @example(([0, 7], [0, 2]))  # one label carries all the mass of both
+    @example(([4], [9]))  # a single label
+    def test_js_equals_mixture_oracle(self, pair):
+        support = tuple("abcd"[:len(pair[0])])
+        p, q = (ProbabilityDistribution.from_counts(support, counts) for counts in pair)
+        assert dv.js(p, q) == oracle.js(p, q)

@@ -9,6 +9,8 @@ from fairaudit.tabular import (
     Dataset,
     FOREIGN,
     SensitiveSpec,
+    label_distribution,
+    outcome_levels,
     partition,
 )
 
@@ -46,17 +48,22 @@ def disjoint_dataset():
     return build(sex, grp, outcome)
 
 
+def top_line(d, spec, cfg=CFG):
+    """The top-level line of the test of `spec` on the outcome labels."""
+    return det.run_test(d, spec, "outcome", [], cfg).lines[0]
+
+
 class TestCompareClasses:
     def test_identical_distributions(self):
         d = balanced_dataset()
-        line = det.compare_classes(d, partition(d, SEX), "outcome", CFG)
+        line = top_line(d, SEX)
         assert line.divergence.value == 0.0
         assert not line.violated
         assert line.union_count == d.size
 
     def test_disjoint_distributions(self):
         d = disjoint_dataset()
-        line = det.compare_classes(d, partition(d, SEX), "outcome", CFG)
+        line = top_line(d, SEX)
         assert line.divergence.kind == dv.JS
         assert line.divergence.value == 1.0
         assert line.violated
@@ -73,19 +80,18 @@ class TestCompareClasses:
         d = Dataset(columns=(Column("t", "categorical", tuple(t)),
                              Column("outcome", "categorical", tuple(outcome))),
                     outcome="outcome")
-        from fairaudit.tabular import label_distribution
-        fp = partition(d, trip)
-        pairwise = [dv.js(label_distribution(d, fp.cells[a], "outcome"),
-                          label_distribution(d, fp.cells[b], "outcome")).value
+        fp, levels = partition(d, trip), outcome_levels(d, "outcome")
+        pairwise = [dv.js(label_distribution(levels, fp.cells[a], 1)[0],
+                          label_distribution(levels, fp.cells[b], 1)[0]).value
                     for a, b in (("p", "q"), ("p", "r"), ("q", "r"))]
-        line = det.compare_classes(d, fp, "outcome", det.DetectionConfig(aggregation="max"))
+        line = top_line(d, trip, det.DetectionConfig(aggregation="max"))
         assert line.divergence.value == max(pairwise)
-        line = det.compare_classes(d, fp, "outcome", det.DetectionConfig(aggregation="mean"))
+        line = top_line(d, trip, det.DetectionConfig(aggregation="mean"))
         assert line.divergence.value == pytest.approx(sum(pairwise) / 3)
 
     def test_single_populated_class_is_skipped(self):
         d = build(["a"] * 6, ["x"] * 6, [GOOD, BAD] * 3)
-        line = det.compare_classes(d, partition(d, SEX), "outcome", CFG)
+        line = top_line(d, SEX)
         assert line.skipped
         assert not line.violated
         assert any("fewer than 2" in w for w in line.warnings)
@@ -97,7 +103,7 @@ class TestSubclassDoubleCheck:
         cols = ["Attribute1", "Attribute3"]  # 4 + 5 observed values
         cfg = det.DetectionConfig(min_support=10_000)  # force all to skip
         from fairaudit.tabular import GENDER
-        lines = det.subclass_double_check(german, GENDER, "outcome", cols, cfg)
+        lines = det.subclass_double_check(german, GENDER, cols, cfg)
         assert len(lines) == 4 + 5
         assert all(l.skipped for l in lines)
 
@@ -105,7 +111,7 @@ class TestSubclassDoubleCheck:
         cols = ["Attribute19", "Attribute20"]  # 2 x 2 codes
         cfg = det.DetectionConfig(depth=2, min_support=10_000)
         from fairaudit.tabular import GENDER
-        lines = det.subclass_double_check(german, GENDER, "outcome", cols, cfg)
+        lines = det.subclass_double_check(german, GENDER, cols, cfg)
         joint = {(a, b) for a, b in zip(german.column("Attribute19").values,
                                         german.column("Attribute20").values)}
         assert len(lines) == 2 + 2 + len(joint)
@@ -116,7 +122,7 @@ class TestSubclassDoubleCheck:
         outcome = [GOOD, BAD] * 8
         d = build(sex, grp, outcome)
         cfg = det.DetectionConfig(min_support=1)
-        lines = det.subclass_double_check(d, SEX, "outcome", ["grp"], cfg)
+        lines = det.subclass_double_check(d, SEX, ["grp"], cfg)
         assert len(lines) == 2
         assert all(l.skipped for l in lines)
         assert all(any("fewer than 2" in w for w in l.warnings) for l in lines)
@@ -124,17 +130,18 @@ class TestSubclassDoubleCheck:
     def test_min_support_skips_with_warning(self, german):
         from fairaudit.tabular import GENDER
         cfg = det.DetectionConfig(min_support=400)
-        lines = det.subclass_double_check(german, GENDER, "outcome",
+        lines = det.subclass_double_check(german, GENDER,
                                           ["Attribute1"], cfg)
-        skipped = [l for l in lines if l.skipped]
-        assert skipped and all("below minimum" in l.warnings[0] for l in skipped)
+        # a planned compared line is a Comparison, a skipped one a TestLine
+        skipped = [l for l in lines if isinstance(l, det.TestLine)]
+        assert skipped and all(l.skipped and "below minimum" in l.warnings[0] for l in skipped)
 
     def test_starved_subclasses_are_not_partitioned(self, german, monkeypatch):
         from fairaudit.tabular import GENDER
         calls = []
         monkeypatch.setattr(det, "partition", lambda *args: calls.append(args))
         cfg = det.DetectionConfig(depth=2, min_support=10_000)
-        lines = det.subclass_double_check(german, GENDER, "outcome",
+        lines = det.subclass_double_check(german, GENDER,
                                           ["Attribute1", "Attribute3"], cfg)
         assert calls == []
         assert all(l.skipped and "below minimum" in l.warnings[0] for l in lines)
@@ -150,7 +157,7 @@ class TestSubclassDoubleCheck:
         spec = SensitiveSpec("s", "s", ("c0", "c1"))
         cfg = det.DetectionConfig(min_support=2)
         with pytest.raises(ValueError, match="class label 'zz' outside declared classes of 's'"):
-            det.subclass_double_check(d, spec, "outcome", ["x"], cfg)
+            det.subclass_double_check(d, spec, ["x"], cfg)
 
     def test_foreign_audit_has_skipped_lines(self, german):
         cfg = det.DetectionConfig()
@@ -163,7 +170,7 @@ class TestSubclassDoubleCheck:
     def test_union_counts_bounded_per_column(self, german):
         from fairaudit.tabular import GENDER
         cfg = det.DetectionConfig(min_support=0)
-        lines = det.subclass_double_check(german, GENDER, "outcome",
+        lines = det.subclass_double_check(german, GENDER,
                                           ["Attribute1"], cfg)
         assert sum(l.union_count for l in lines) <= german.size
 

@@ -1,6 +1,6 @@
 """The default pipeline's files, byte for byte, against the archive that
-tests/golden/capture.py wrote.  The depth-3 archive is checked by running
-`python3 tests/golden/capture.py --check depth3`."""
+tests/golden/capture.py wrote.  The depth-3 archives are checked by running
+`python3 tests/golden/capture.py --check depth3 depth3_sweep`."""
 
 from golden import capture
 

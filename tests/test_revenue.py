@@ -122,11 +122,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="one score per row"):
             rv.sweep(german, [1, 2], [500], FEATURES, NONSENS, CFG)
 
-    def test_prediction_column_in_dataset_rejected(self, german, scores):
+    def test_prediction_column_in_dataset_accepted(self, german, scores):
+        # the sweep counts the model's classifications without a column for them
         d = german.with_columns([Column(rv.PREDICTION_COLUMN, "categorical",
                                         ("p", "q") * (german.size // 2))])
-        with pytest.raises(ValueError, match="dataset column 'prediction' would be replaced"):
-            rv.sweep(d, scores, [500], FEATURES, NONSENS, CFG)
+        grid = [500, 600]
+        assert (rv.sweep(d, scores, grid, FEATURES, NONSENS, CFG)
+                == rv.sweep(german, scores, grid, FEATURES, NONSENS, CFG))
 
     def test_negative_amounts_rejected(self, german, scores):
         from fairaudit.tabular import Column

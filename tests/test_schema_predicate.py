@@ -182,6 +182,9 @@ NAMED_CASES = {  # case id -> (schema, edit of the real report, valid afterwards
         divergence=None), True),
     "divergence_integer_kind": ("test_report", lambda doc: _first_divergence(doc)[
         "divergence"].update(kind=0), False),
+    "kl_divergence_kind": ("test_report", _set(("divergence_kind",), "kl"), False),
+    "kl_normalized_line_kind": ("test_report", lambda doc: _first_divergence(doc)[
+        "divergence"].update(kind="kl_normalized"), False),
     "missing_key": ("risk_report", _delete(("overall",)), False),
     "missing_nested_key": ("sweep", _delete(("rows", 3, "warnings")), False),
     "extra_key": ("risk_report", _set(("extra",), 1), False),

@@ -21,6 +21,7 @@ from fairaudit.tabular import (
     label_distribution,
     load_csv,
     load_german_credit,
+    outcome_levels,
     partition,
     sensitive_spec_for,
 )
@@ -214,10 +215,10 @@ class TestPartition:
             assert rows.dtype == np.intp and rows.ndim == 1
             assert (np.diff(rows) > 0).all()
         assert empty.cells["b"].tolist() == [] and empty.empty() == ["b"]
-        span = range(100, 400)
-        assert (label_distribution(german, span, "outcome")
-                == label_distribution(german, np.arange(100, 400), "outcome")
-                == label_distribution(german, tuple(span), "outcome"))
+        span, levels = range(100, 400), outcome_levels(german, "outcome")
+        assert (label_distribution(levels, span, 1)
+                == label_distribution(levels, np.arange(100, 400), 1)
+                == label_distribution(levels, tuple(span), 1))
 
     def test_unknown_column(self, german):
         with pytest.raises(ValueError, match="unknown column"):
@@ -230,24 +231,39 @@ class TestPartition:
 
 class TestLabelDistribution:
     def test_pooled(self, german):
-        dist = label_distribution(german, range(german.size), "outcome")
+        dist, = label_distribution(outcome_levels(german, "outcome"), range(german.size), 1)
         assert dict(zip(dist.support, dist.mass)) == {GOOD: 0.7, BAD: 0.3}
 
     def test_singleton(self, german):
         good_row = german.column("outcome").values.index(GOOD)
-        dist = label_distribution(german, [good_row], "outcome")
+        dist, = label_distribution(outcome_levels(german, "outcome"), [good_row], 1)
         assert dict(zip(dist.support, dist.mass)) == {GOOD: 1.0, BAD: 0.0}
 
     def test_empty_is_a_signal(self, german):
         with pytest.raises(EmptyClassError):
-            label_distribution(german, [], "outcome")
+            label_distribution(outcome_levels(german, "outcome"), [], 1)
 
     @given(st.lists(st.integers(min_value=0, max_value=999),
                     min_size=1, max_size=300))
     def test_masses_sum_to_one(self, rows):
         d = _GERMAN_CACHE[0]
-        dist = label_distribution(d, rows, "outcome")
+        dist, = label_distribution(outcome_levels(d, "outcome"), rows, 1)
         assert abs(math.fsum(dist.mass) - 1.0) <= 1e-9
+
+    def test_counts_every_labelling(self):
+        # row r is good under labelling i iff i < levels[r]
+        levels = np.array([0, 3, 1, 3, 4], dtype=np.intp)
+        dists = label_distribution(levels, [0, 1, 2, 3], 4)
+        assert [d.mass for d in dists] == [(0.25, 0.75), (0.5, 0.5), (0.5, 0.5), (1.0, 0.0)]
+        assert all(d.support == (BAD, GOOD) for d in dists)
+        assert dists[1] is dists[2]  # equal counts share one distribution
+
+    def test_outcome_levels(self):
+        d = Dataset(columns=(Column("y", "categorical", (GOOD, BAD, GOOD)),
+                             Column("z", "categorical", (GOOD, "maybe", BAD))), outcome="y")
+        assert outcome_levels(d, "y").tolist() == [1, 0, 1]
+        with pytest.raises(ValueError, match=r"column 'z' holds values outside \{good, bad\}"):
+            outcome_levels(d, "z")
 
     def test_from_counts_rejects_empty(self):
         with pytest.raises(EmptyClassError):
