@@ -3,7 +3,8 @@
 A fairness test produces lines.  The top-level line compares the outcome
 distributions of the sensitive classes pairwise (Jensen-Shannon,
 aggregated); the double-check lines redo that comparison inside every
-observed subclass obtained by fixing non-sensitive feature values.
+observed subclass obtained by fixing non-sensitive feature values, its
+cells cut from one sort of the rows per combination of those features.
 Degenerate cases (empty classes, starved subclasses) become warnings on
 skipped lines, never crashes.  A test is planned once and evaluated under
 any number of labellings: the data's outcome, or each sweep threshold.
@@ -25,7 +26,6 @@ from .tabular import (
     label_distribution,
     outcome_levels,
     partition,
-    sensitive_labels,
 )
 from . import divergence as dv
 
@@ -109,23 +109,23 @@ def compare_classes(line: Comparison, dists, cfg: DetectionConfig) -> TestLine:
                     violated=agg.value > line.epsilon, warnings=line.warnings)
 
 
-def subclass_double_check(d: Dataset, feature: SensitiveSpec, nonsensitive,
+def subclass_double_check(d: Dataset, top: FeaturePartition, nonsensitive,
                           cfg: DetectionConfig) -> list[TestLine | Comparison]:
     """The class-vs-class lines of every observed subclass, planned.
 
     Subclasses are all joint value assignments, observed in the data, of
     up to `cfg.depth` non-sensitive columns (columns in the given order,
-    values sorted).  Subclasses with fewer than `cfg.min_support` rows are
-    skipped with a warning; they are counted but not partitioned, unless one
-    of their rows has an undeclared class label, on which `partition` raises.
+    values sorted); `top` is `partition(d, feature)`, so every row has a
+    declared class.  Subclasses with fewer than `cfg.min_support` rows are
+    skipped with a warning.
     """
     nonsensitive = list(nonsensitive)
     for col in nonsensitive:
         d.column(col)  # raises on unknown column
-    if not nonsensitive:
-        return []
-    labels, declared = sensitive_labels(d, feature)  # raises as `partition` would
-    undeclared = ~declared[labels.codes]
+    classes, k = top.feature.classes, len(top.feature.classes)
+    label = np.empty(d.size, dtype=np.intp)  # row -> index of its class
+    for i, rows in enumerate(top.cells.values()):
+        label[rows] = i
 
     lines = []
     for depth in range(1, cfg.depth + 1):
@@ -133,19 +133,25 @@ def subclass_double_check(d: Dataset, feature: SensitiveSpec, nonsensitive,
             # group order is the sorted order of the value tuples
             encodings = (d.column(col).encoded for col in combo)
             first_rows, group = group_rows(d.size, ((e.codes, len(e.uniques)) for e in encodings))
-            supports = np.bincount(group).tolist()
-            undeclared_counts = np.bincount(group[undeclared], minlength=len(first_rows)).tolist()
-            for row, support, n_undeclared in zip(first_rows.tolist(), supports,
-                                                  undeclared_counts):
+            # one sort by (subclass g, class i), as key g * k + i, gives every
+            # cell as a slice; numpy sorts ints of up to 16 bits by radix, while
+            # a stable int64 argsort is a timsort.  Stable keeps cells ascending.
+            key, n_cells = group * k + label, len(first_rows) * k
+            bounds = [0] + np.cumsum(np.bincount(key, minlength=n_cells)).tolist()
+            order = np.argsort(key.astype(np.min_scalar_type(n_cells)), kind="stable")
+            for g, row in enumerate(first_rows.tolist()):
                 conditions = tuple((col, d.column(col).values[row]) for col in combo)
-                if support < cfg.min_support and not n_undeclared:
+                edges = bounds[g * k:(g + 1) * k + 1]
+                support = edges[-1] - edges[0]
+                if support < cfg.min_support:
                     lines.append(TestLine(
                         conditions=conditions, compared=(), union_count=support,
                         divergence=None, epsilon=None, violated=False,
                         warnings=(f"subclass support {support} below minimum "
                                   f"{cfg.min_support}; skipped",)))
                     continue
-                lines.append(_plan_line(d, partition(d, feature, conditions), cfg))
+                cells = {c: order[a:b] for c, a, b in zip(classes, edges, edges[1:])}
+                lines.append(_plan_line(d, FeaturePartition(top.feature, cells, conditions), cfg))
     return lines
 
 
@@ -166,8 +172,8 @@ def run_tests(d: Dataset, feature: SensitiveSpec, levels, labellings: int,
     """One full fairness test per labelling (row r is good under labelling i
     iff `i < levels[r]`): top-level line, then the subclass lines."""
     nonsensitive = tuple(nonsensitive)
-    planned = [_plan_line(d, partition(d, feature, ()), cfg)]
-    planned += subclass_double_check(d, feature, nonsensitive, cfg)
+    top = partition(d, feature)
+    planned = [_plan_line(d, top, cfg)] + subclass_double_check(d, top, nonsensitive, cfg)
     columns = [_evaluate(line, levels, labellings, cfg) if isinstance(line, Comparison)
                else [line] * labellings for line in planned]
     all_skipped = ("every comparison was skipped; see line warnings",)

@@ -10,7 +10,8 @@ reports the first value it rejects.  Datasets are immutable after
 load; "mutating" helpers return new Dataset objects sharing column data.
 Each column encodes itself once, on first use, as integer codes over its
 sorted distinct values; partitions and label counts are numpy operations
-over those codes.
+over those codes: `partition` splits every row by sensitive class, and
+`group_rows` numbers the subclasses whose cells `detection` cuts from it.
 """
 
 from __future__ import annotations
@@ -354,13 +355,25 @@ def derive_sensitive_features(d: Dataset) -> Dataset:
     return d.with_columns(columns)
 
 
+def _check_declared(d: Dataset, feature: SensitiveSpec, context: str = "") -> None:
+    """Raise on the first label, in row order, of the feature's column that
+    is not one of its classes."""
+    column = d.column(feature.column)
+    if not set(column.encoded.uniques) <= set(feature.classes):
+        label = next(v for v in column.values if v not in feature.classes)
+        raise ValueError(f"{context}class label {label!r} outside declared classes "
+                         f"of {feature.name!r}")
+
+
 def sensitive_spec_for(d: Dataset, name: str) -> SensitiveSpec:
-    """Resolve a sensitive feature by name: builtin or any categorical column."""
+    """Resolve a sensitive feature by name: builtin (its column holding only
+    its classes) or any categorical column."""
     if name in BUILTIN_SENSITIVE:
         spec = BUILTIN_SENSITIVE[name]
         if not d.has_column(spec.column):
             raise ValueError(f"sensitive column {spec.column!r} of built-in feature "
                              f"{name!r} not in dataset")
+        _check_declared(d, spec, f"sensitive column {spec.column!r}: ")
         return spec
     if d.has_column(name):
         if d.column(name).kind == INTEGER:
@@ -371,39 +384,17 @@ def sensitive_spec_for(d: Dataset, name: str) -> SensitiveSpec:
 
 # --- Partitions and distributions ------------------------------------------
 
-def sensitive_labels(d: Dataset, feature: SensitiveSpec) -> tuple[Encoding, np.ndarray]:
-    """The encoding of the sensitive column and, for each of its codes,
-    whether that label is a declared class of `feature`."""
+def partition(d: Dataset, feature: SensitiveSpec) -> FeaturePartition:
+    """Partition every row by sensitive class; a label outside the declared
+    classes raises, the first in row order."""
     if not d.has_column(feature.column):
         raise ValueError(f"sensitive column {feature.column!r} not in dataset")
+    _check_declared(d, feature)
     labels = d.column(feature.column).encoded
-    declared = np.zeros(len(labels.uniques), dtype=bool)
-    declared[[labels.index[c] for c in feature.classes if c in labels.index]] = True
-    return labels, declared
-
-
-def partition(d: Dataset, feature: SensitiveSpec,
-              conditions=()) -> FeaturePartition:
-    """Partition the rows matching `conditions` by sensitive class."""
-    labels, declared = sensitive_labels(d, feature)
-    conditions = tuple((str(c), v) for c, v in conditions)
-    mask = np.ones(d.size, dtype=bool)
-    for col, value in conditions:
-        enc = d.column(col).encoded  # raises on unknown column
-        if value not in enc.index:
-            raise ValueError(f"value {value!r} never occurs in column {col!r}")
-        mask &= enc.codes == enc.index[value]
-
-    rows = np.flatnonzero(mask)
-    codes = labels.codes[rows]
-    undeclared = ~declared[codes]
-    if undeclared.any():
-        label = labels.uniques[codes[undeclared.argmax()]]
-        raise ValueError(f"class label {label!r} outside declared classes "
-                         f"of {feature.name!r}")
-    cells = {c: rows[codes == labels.index[c]] if c in labels.index else rows[:0]
+    # codes are never negative, so an absent class gets an empty cell
+    cells = {c: np.flatnonzero(labels.codes == labels.index.get(c, -1))
              for c in feature.classes}
-    return FeaturePartition(feature=feature, cells=cells, conditions=conditions)
+    return FeaturePartition(feature=feature, cells=cells, conditions=())
 
 
 def outcome_levels(d: Dataset, outcome: str) -> np.ndarray:

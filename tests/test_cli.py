@@ -463,6 +463,10 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
     "csv_keeps_builtin_gender": (_csv_case({"conditioning_columns": ["income"]}),
                                  "sensitive column 'gender' of built-in feature 'gender' "
                                  "not in dataset"),
+    "csv_builtin_gender_foreign_labels": (
+        _csv_scored_case("gender", lambda i: "MF"[i % 2], {"sensitive_features": ["gender"]},
+                         ("audit", "--target", "data")),
+        "sensitive column 'gender': class label 'M' outside declared classes of 'gender'"),
     "good_value_is_bad_value": (
         _csv_case({"sensitive_features": ["group"], "conditioning_columns": ["income"]},
                   bad_value="ok"),

@@ -1,7 +1,8 @@
 """The encoded counting core against the row-scan oracle on small
-generated datasets: same cells, counts, subclass order and errors; the
-threshold sweep against one battery per threshold, row for row; and the
-divergence kernel against its validated-mixture version, bit for bit."""
+generated datasets: same cells, counts, subclass order, subclass cells and
+errors; the threshold sweep against one battery per threshold, row for
+row; and the divergence kernel against its validated-mixture version, bit
+for bit."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, strategies as st
 import rowscan_oracle as oracle
 from fairaudit import divergence as dv
 from fairaudit.config import MODES, RevenueConfig
-from fairaudit.detection import DetectionConfig, subclass_double_check
+from fairaudit.detection import (Comparison, DetectionConfig, run_test,
+                                 subclass_double_check)
 from fairaudit.revenue import sweep
 from fairaudit.tabular import (
     BAD,
@@ -113,38 +115,51 @@ class TestAgainstRowScan:
     @given(audits(), st.integers(1, 3), st.sampled_from((0, 1, 3, 10)))
     def test_partitions_counts_and_subclasses(self, audit, depth, min_support):
         d, spec, cols = audit
-        expected = oracle.subclass_conditions(d, cols, depth)
-        unknown = [[("nope", "a")], [(cols[0], "never")], [(cols[0], 99)]]
-        for conditions in [(), *expected, *unknown]:
-            got = _outcome(partition, d, spec, conditions)
-            want = _outcome(oracle.partition, d, spec, conditions)
-            if got[0] != "ok" or want[0] != "ok":
-                assert got == want  # the same error, and never only one of them
-                continue
-            fp, expected_fp = got[1], want[1]
-            # arrays have no == truth value: compare the cells as tuples
-            assert ({c: tuple(r.tolist()) for c, r in fp.cells.items()}
-                    == expected_fp.cells)
-            assert (fp.feature, fp.conditions) == (expected_fp.feature, expected_fp.conditions)
-            levels = outcome_levels(d, "outcome")
-            for rows in fp.cells.values():
-                if len(rows):
-                    dist, = label_distribution(levels, rows, 1)
-                    assert (_label_masses(dist)
-                            == _label_masses(oracle.label_distribution(d, rows, "outcome")))
-
+        got = _outcome(partition, d, spec)
+        want = _outcome(oracle.partition, d, spec)
         cfg = DetectionConfig(depth=depth, min_support=min_support)
-        try:
-            lines = subclass_double_check(d, spec, cols, cfg)
-        except ValueError as exc:
-            first_error = next(err for err in (_outcome(oracle.partition, d, spec, c)
-                                               for c in expected) if err[0] != "ok")
-            assert ("ValueError", str(exc)) == first_error
+        if got[0] != "ok" or want[0] != "ok":
+            # the same whole-data, first-row error, and never only one of them
+            assert got == want == _outcome(run_test, d, spec, "outcome", cols, cfg)
             return
+        fp, expected_fp = got[1], want[1]
+        # arrays have no == truth value: compare the cells as tuples
+        assert {c: tuple(r.tolist()) for c, r in fp.cells.items()} == expected_fp.cells
+        assert (fp.feature, fp.conditions) == (expected_fp.feature, expected_fp.conditions)
+        levels = outcome_levels(d, "outcome")
+        for rows in fp.cells.values():
+            if len(rows):
+                dist, = label_distribution(levels, rows, 1)
+                assert (_label_masses(dist)
+                        == _label_masses(oracle.label_distribution(d, rows, "outcome")))
+
+        expected = oracle.subclass_conditions(d, cols, depth)
+        lines = subclass_double_check(d, fp, cols, cfg)
         assert [line.conditions for line in lines] == expected
         assert [line.union_count for line in lines] == [
             sum(len(rows) for rows in oracle.partition(d, spec, c).cells.values())
             for c in expected]
+
+    @given(audits(undeclared=False), st.integers(1, 3), st.sampled_from((0, 1, 3, 10)))
+    def test_subclass_cells(self, audit, depth, min_support):
+        d, spec, cols = audit
+        lines = subclass_double_check(d, partition(d, spec), cols,
+                                      DetectionConfig(depth=depth, min_support=min_support))
+        expected = oracle.subclass_conditions(d, cols, depth)
+        assert [line.conditions for line in lines] == expected
+        for line in lines:
+            cells = oracle.partition(d, spec, line.conditions).cells
+            present = {c: rows for c, rows in cells.items() if rows}
+            if isinstance(line, Comparison):
+                assert {c: tuple(r.tolist()) for c, r in line.cells.items()} == present
+                assert list(line.cells) == list(present)  # in class order
+                for rows in line.cells.values():
+                    assert rows.dtype == np.intp and rows.ndim == 1
+                    assert (np.diff(rows) > 0).all()
+                continue
+            support = sum(map(len, present.values()))
+            assert line.union_count == support
+            assert line.compared == (() if support < min_support else tuple(present))
 
     @given(keyed_rows())
     # mixed-radix keys of up to 2**64 - 1 and of exactly 2**63 - 1
@@ -163,9 +178,10 @@ class TestAgainstRowScan:
                              Column("outcome", CATEGORICAL, (GOOD, BAD, GOOD, BAD))),
                     outcome="outcome")
         spec = SensitiveSpec("s", "s", ("c0", "c1"))
-        for conditions, label in (((), "zz"), ((("x", "a"),), "yy")):
-            with pytest.raises(ValueError, match=f"class label '{label}' outside"):
-                partition(d, spec, conditions)
+        # 'yy' is the first undeclared label of subclass x == a, 'zz' of the data
+        for fn, args in ((partition, ()), (run_test, ("outcome", ["x"], DetectionConfig()))):
+            with pytest.raises(ValueError, match="class label 'zz' outside"):
+                fn(d, spec, *args)
 
 
 class TestSweepAgainstPerThresholdBatteries:

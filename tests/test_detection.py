@@ -103,7 +103,7 @@ class TestSubclassDoubleCheck:
         cols = ["Attribute1", "Attribute3"]  # 4 + 5 observed values
         cfg = det.DetectionConfig(min_support=10_000)  # force all to skip
         from fairaudit.tabular import GENDER
-        lines = det.subclass_double_check(german, GENDER, cols, cfg)
+        lines = det.subclass_double_check(german, partition(german, GENDER), cols, cfg)
         assert len(lines) == 4 + 5
         assert all(l.skipped for l in lines)
 
@@ -111,7 +111,7 @@ class TestSubclassDoubleCheck:
         cols = ["Attribute19", "Attribute20"]  # 2 x 2 codes
         cfg = det.DetectionConfig(depth=2, min_support=10_000)
         from fairaudit.tabular import GENDER
-        lines = det.subclass_double_check(german, GENDER, cols, cfg)
+        lines = det.subclass_double_check(german, partition(german, GENDER), cols, cfg)
         joint = {(a, b) for a, b in zip(german.column("Attribute19").values,
                                         german.column("Attribute20").values)}
         assert len(lines) == 2 + 2 + len(joint)
@@ -122,7 +122,7 @@ class TestSubclassDoubleCheck:
         outcome = [GOOD, BAD] * 8
         d = build(sex, grp, outcome)
         cfg = det.DetectionConfig(min_support=1)
-        lines = det.subclass_double_check(d, SEX, ["grp"], cfg)
+        lines = det.subclass_double_check(d, partition(d, SEX), ["grp"], cfg)
         assert len(lines) == 2
         assert all(l.skipped for l in lines)
         assert all(any("fewer than 2" in w for w in l.warnings) for l in lines)
@@ -130,22 +130,24 @@ class TestSubclassDoubleCheck:
     def test_min_support_skips_with_warning(self, german):
         from fairaudit.tabular import GENDER
         cfg = det.DetectionConfig(min_support=400)
-        lines = det.subclass_double_check(german, GENDER,
+        lines = det.subclass_double_check(german, partition(german, GENDER),
                                           ["Attribute1"], cfg)
         # a planned compared line is a Comparison, a skipped one a TestLine
         skipped = [l for l in lines if isinstance(l, det.TestLine)]
         assert skipped and all(l.skipped and "below minimum" in l.warnings[0] for l in skipped)
 
-    def test_starved_subclasses_are_not_partitioned(self, german, monkeypatch):
+    @pytest.mark.parametrize("min_support", [0, 10_000])
+    def test_run_test_partitions_once(self, german, monkeypatch, min_support):
         from fairaudit.tabular import GENDER
         calls = []
-        monkeypatch.setattr(det, "partition", lambda *args: calls.append(args))
-        cfg = det.DetectionConfig(depth=2, min_support=10_000)
-        lines = det.subclass_double_check(german, GENDER,
-                                          ["Attribute1", "Attribute3"], cfg)
-        assert calls == []
-        assert all(l.skipped and "below minimum" in l.warnings[0] for l in lines)
-        assert sum(l.union_count for l in lines[:4]) == german.size
+        monkeypatch.setattr(det, "partition", lambda *args: calls.append(args) or partition(*args))
+        cfg = det.DetectionConfig(depth=2, min_support=min_support)
+        lines = det.run_test(german, GENDER, "outcome", ["Attribute1", "Attribute3"], cfg).lines
+        assert len(calls) == 1
+        assert len(lines) == 1 + 4 + 5 + 20
+        assert sum(l.union_count for l in lines[1:5]) == german.size
+        if min_support:
+            assert all(l.skipped and "below minimum" in l.warnings[0] for l in lines[1:])
 
     def test_undeclared_label_in_starved_subclass_raises(self):
         # the only undeclared label sits in a one-row subclass below min_support
@@ -157,7 +159,7 @@ class TestSubclassDoubleCheck:
         spec = SensitiveSpec("s", "s", ("c0", "c1"))
         cfg = det.DetectionConfig(min_support=2)
         with pytest.raises(ValueError, match="class label 'zz' outside declared classes of 's'"):
-            det.subclass_double_check(d, spec, ["x"], cfg)
+            det.run_test(d, spec, "outcome", ["x"], cfg)
 
     def test_foreign_audit_has_skipped_lines(self, german):
         cfg = det.DetectionConfig()
@@ -170,7 +172,7 @@ class TestSubclassDoubleCheck:
     def test_union_counts_bounded_per_column(self, german):
         from fairaudit.tabular import GENDER
         cfg = det.DetectionConfig(min_support=0)
-        lines = det.subclass_double_check(german, GENDER,
+        lines = det.subclass_double_check(german, partition(german, GENDER),
                                           ["Attribute1"], cfg)
         assert sum(l.union_count for l in lines) <= german.size
 

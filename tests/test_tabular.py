@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fairaudit.detection import DetectionConfig, subclass_double_check
 from fairaudit.tabular import (
     AGE_GROUP,
     BAD,
@@ -11,6 +12,7 @@ from fairaudit.tabular import (
     Dataset,
     EmptyClassError,
     FOREIGN,
+    FeaturePartition,
     GENDER,
     GOOD,
     ParseError,
@@ -170,6 +172,16 @@ class TestDeriveSensitive:
             sensitive_spec_for(german, "nope")
 
 
+def _subclass_partition(d, feature, column, value):
+    """The cells of `feature` in the subclass `column == value`, as the
+    double check plans them."""
+    lines = subclass_double_check(d, partition(d, feature), [column],
+                                  DetectionConfig(min_support=0))
+    line, = (l for l in lines if l.conditions == ((column, value),))
+    return FeaturePartition(feature, {c: line.cells.get(c, ()) for c in feature.classes},
+                            line.conditions)
+
+
 class TestPartition:
     def test_gender_covers_everything(self, german):
         fp = partition(german, GENDER)
@@ -178,7 +190,7 @@ class TestPartition:
         assert sum(len(rows) for rows in fp.cells.values()) == german.size
 
     def test_condition_filters(self, german):
-        fp = partition(german, GENDER, [("Attribute10", "A103")])
+        fp = _subclass_partition(german, GENDER, "Attribute10", "A103")
         guarantor_rows = {i for i, v in enumerate(german.column("Attribute10").values)
                           if v == "A103"}
         got = set(fp.cells["male"]) | set(fp.cells["female"])
@@ -198,7 +210,7 @@ class TestPartition:
         ("Attribute1", "A14"), ("Attribute3", "A30"), ("Attribute6", "A64"),
     ])
     def test_disjoint_cover_under_conditions(self, german, feature, column, value):
-        fp = partition(german, feature, [(column, value)])
+        fp = _subclass_partition(german, feature, column, value)
         matching = {i for i, v in enumerate(german.column(column).values) if v == value}
         union = set()
         for rows in fp.cells.values():
@@ -207,7 +219,7 @@ class TestPartition:
         assert union == matching
 
     def test_cells_are_ascending_index_arrays(self, german):
-        fp = partition(german, AGE_GROUP, [("Attribute1", "A14")])
+        fp = partition(german, AGE_GROUP)
         d = Dataset(columns=(Column("s", "categorical", ("a", "a")),
                              Column("outcome", "categorical", (GOOD, BAD))), outcome="outcome")
         empty = partition(d, SensitiveSpec("s", "s", ("a", "b")))
@@ -222,11 +234,8 @@ class TestPartition:
 
     def test_unknown_column(self, german):
         with pytest.raises(ValueError, match="unknown column"):
-            partition(german, GENDER, [("NoSuch", "A1")])
-
-    def test_unknown_value(self, german):
-        with pytest.raises(ValueError, match="never occurs"):
-            partition(german, GENDER, [("Attribute1", "A99")])
+            subclass_double_check(german, partition(german, GENDER), ["NoSuch"],
+                                  DetectionConfig())
 
 
 class TestLabelDistribution:
