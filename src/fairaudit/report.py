@@ -354,18 +354,25 @@ def read_scores_csv(path) -> list[int]:
     """Integer scores of a scores CSV whose row ids run 0..n-1 in order."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["row_id", "score"]:
-            raise ValueError(f"{path}: not a scores CSV (expected row_id,score,... header)")
-        scores = []
-        for row_id, row in enumerate(reader):
-            where = f"{path}: line {reader.line_num}"
-            if len(row) < 2 or row[0] != str(row_id):
-                raise ValueError(f"{where}: expected row_id {row_id} and a score, got {row}")
-            try:
-                scores.append(int(row[1]))
-            except ValueError:
-                raise ValueError(f"{where}: score {row[1]!r} is not an integer") from None
+        try:
+            return _read_scores(path, reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _read_scores(path, reader) -> list[int]:
+    header = next(reader, None)
+    if header is None or header[:2] != ["row_id", "score"]:
+        raise ValueError(f"{path}: not a scores CSV (expected row_id,score,... header)")
+    scores = []
+    for row_id, row in enumerate(reader):
+        where = f"{path}: line {reader.line_num}"
+        if len(row) < 2 or row[0] != str(row_id):
+            raise ValueError(f"{where}: expected row_id {row_id} and a score, got {row}")
+        try:
+            scores.append(int(row[1]))
+        except ValueError:
+            raise ValueError(f"{where}: score {row[1]!r} is not an integer") from None
     return scores
 
 

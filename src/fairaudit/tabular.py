@@ -1,12 +1,15 @@
 """Typed tabular data: loaders, sensitive-feature derivation, partitions.
 
-Two loaders build a Dataset a column at a time: the German Credit loader
-reads the classic whitespace-separated, A-coded file (21 fields per line,
-label 1=good / 2=bad), and a generic CSV loader (header row, inferred
-integer columns, outcome mapped onto good/bad) keeps the engine
-model-agnostic.  Both, and the derivation of the built-in sensitive
-features, convert a whole column through one checked mapping that
-reports the first value it rejects.  Datasets are immutable after
+Two loaders build a Dataset: the German Credit loader reads the classic
+whitespace-separated, A-coded file (21 fields per line, label 1=good /
+2=bad), and a generic CSV loader (header row, inferred integer columns,
+outcome mapped onto good/bad) keeps the engine model-agnostic.  Both
+decode the whole file first, then split and convert it in blocks of
+about a thousand lines, so that only one block's fields are held as
+strings at a time; each column of a block goes through one checked
+mapping that reports the first value it rejects, as does the derivation
+of the built-in sensitive features.  The converted blocks are joined into
+whole columns one column at a time.  Datasets are immutable after
 load; "mutating" helpers return new Dataset objects sharing column data.
 Each column encodes itself once, on first use, as integer codes over its
 sorted distinct values; partitions and label counts are numpy operations
@@ -18,8 +21,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -223,45 +228,82 @@ def _convert(raw, convert) -> tuple:
             return None, (row, value)
 
 
+_BLOCK_LINES = 1000  # lines a loader splits and converts at a time
+
+
+def _text_blocks(text):
+    """`text` in pieces of about `_BLOCK_LINES` lines, each cut just after a
+    line feed.  No line break spans such a cut (a "\\r\\n" ends at its
+    "\\n"), so the pieces' lines, as `str.splitlines` or a csv reader
+    finds them, are the whole text's."""
+    start = 0
+    while start < len(text):
+        end = start
+        for _ in range(_BLOCK_LINES):
+            end = text.find("\n", end) + 1
+            if not end:
+                end = len(text)
+                break
+        yield text[start:end]
+        start = end
+
+
 def load_german_credit(path) -> Dataset:
     """Load the UCI-format German Credit file (A-coded, 21 fields/line).
 
-    Each line is split once and its field count checked; the fields go
-    into one flat list, from which the columns are checked and built one
-    at a time.  Every row of a code column shares one string per code.
+    The file is decoded whole, so that a decode error anywhere is the one
+    reported; it is then split and converted in blocks of about
+    `_BLOCK_LINES` lines, so that no more than one block's fields are held
+    as strings at a time.  Each block's lines are split once and their
+    field counts checked, and each of its columns is converted through one
+    checked mapping; the converted blocks are joined into whole columns at
+    the end.  Every row of a code column shares one string per code.
     When several lines are malformed, the first error in row order is
     reported: on that line, a wrong field count before any field, and
     fields left to right.
     """
     with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        blocks = _text_blocks(fh.read())  # the text lives as long as `blocks`
+    parts = [[] for _ in _FIELDS]  # each column's converted blocks
+    first = 0  # the row of the block's first line
+    for block in blocks:
+        lines = block.splitlines()
+        # (row, field, message) of the first failure of each check; field -1
+        # is the field count, and only the rows above a bad one are checked
+        failures = []
+        flat = []
+        for row, line in enumerate(lines, start=first):
+            fields = line.split()
+            if len(fields) != 21:
+                problem = f"expected 21 fields, got {len(fields)}" if fields else "blank line"
+                failures.append((row, -1, problem))
+                break
+            flat += fields
+        for j, ((_, _, convert, message), part) in enumerate(zip(_FIELDS, parts)):
+            values, bad = _convert(flat[j::21], convert)
+            if bad is None:
+                part.append(values)
+            else:
+                failures.append((first + bad[0], j, message.format(bad[1])))
+        if failures:
+            row, _, problem = min(failures)
+            raise ParseError(f"line {row + 1}: {problem}")
+        first += len(lines)
+    if not first:
         raise ParseError(f"{path}: empty file")
+    return Dataset(columns=tuple(_joined(name, kind, part)
+                                 for (name, kind, _, _), part in zip(_FIELDS, parts)),
+                   outcome="outcome")
 
-    # (row, field, message) of the first failure of each check; field -1 is
-    # the field count, and only the rows above a bad one are checked further
-    failures = []
-    flat = []
-    for row, line in enumerate(lines):
-        fields = line.split()
-        if len(fields) != 21:
-            problem = f"expected 21 fields, got {len(fields)}" if fields else "blank line"
-            failures.append((row, -1, problem))
-            break
-        flat += fields
-    del lines
 
-    columns = []
-    for j, (name, kind, convert, message) in enumerate(_FIELDS):
-        values, bad = _convert(flat[j::21], convert)
-        if bad is None:
-            columns.append(Column(name, kind, values))
-        else:
-            failures.append((bad[0], j, message.format(bad[1])))
-    if failures:
-        row, _, problem = min(failures)
-        raise ParseError(f"line {row + 1}: {problem}")
-    return Dataset(columns=tuple(columns), outcome="outcome")
+def _joined(name, kind, part, table=None) -> Column:
+    """The column of the converted blocks in `part`, each value mapped
+    through `table` if given; empties `part` as it goes."""
+    values = chain.from_iterable(part)
+    column = Column(name, kind, tuple(values if table is None
+                                      else map(table.__getitem__, values)))
+    part.clear()
+    return column
 
 
 def load_csv(path, outcome_column: str, good_value: str = GOOD,
@@ -270,41 +312,73 @@ def load_csv(path, outcome_column: str, good_value: str = GOOD,
 
     Column types are inferred: integer if every value parses as int,
     categorical otherwise.  Outcome values are mapped onto good/bad, so
-    `good_value` and `bad_value` must differ.
+    `good_value` and `bad_value` must differ.  The file is decoded whole
+    and its records read in blocks of about `_BLOCK_LINES`; every row of a
+    categorical column shares one string per distinct value.  Errors come
+    in this order: a decode error, a column named twice in the header, no
+    data rows, no outcome column, the first ragged row, the first unknown
+    outcome value.  A record the csv module cannot read is reported where
+    the reader meets it.
     """
     if good_value == bad_value:
         raise ValueError(f"good_value and bad_value are both {good_value!r}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        rows = list(reader)
+        blocks = _text_blocks(fh.read())
+    # a whole-text StringIO would hold four bytes a character
+    reader = csv.reader(chain.from_iterable(io.StringIO(b, newline="") for b in blocks))
+    try:
+        return _read_csv(path, reader, outcome_column, good_value, bad_value)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_csv(path, reader, outcome_column, good_value, bad_value) -> Dataset:
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
     twice = next((name for i, name in enumerate(header) if name in header[:i]), None)
     if twice is not None:
         raise ParseError(f"line 1: column {twice!r} appears twice in the header")
+    rows = list(islice(reader, _BLOCK_LINES))
     if not rows:
         raise ParseError(f"{path}: no data rows")
     if outcome_column not in header:
         raise ParseError(f"{path}: outcome column {outcome_column!r} not in header")
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
 
+    label = header.index(outcome_column)
     outcomes = {good_value: GOOD, bad_value: BAD}
+    distinct = [{} for _ in header]  # each column's distinct values, mapped onto themselves
+    parts = [[] for _ in header]  # each column's blocks
+    bad_outcome = None  # (row, value) of the first unknown outcome value
+    first = 0  # the row of the block's first record
+    while rows:
+        if set(map(len, rows)) != {len(header)}:
+            row, fields = next((i, r) for i, r in enumerate(rows, start=first)
+                               if len(r) != len(header))
+            raise ParseError(f"line {row + 2}: expected {len(header)} fields, got {len(fields)}")
+        for j, (raw, table, part) in enumerate(zip(zip(*rows), distinct, parts)):
+            if j != label:
+                table.update((v, v) for v in set(raw).difference(table))
+                part.append(tuple(map(table.__getitem__, raw)))
+            elif bad_outcome is None:
+                values, bad = _convert(raw, outcomes.__getitem__)
+                if bad is None:
+                    part.append(values)
+                else:
+                    bad_outcome = (first + bad[0], bad[1])
+        first += len(rows)
+        rows = list(islice(reader, _BLOCK_LINES))
+    if bad_outcome is not None:
+        raise ParseError(f"line {bad_outcome[0] + 2}: outcome value {bad_outcome[1]!r} is "
+                         f"neither {good_value!r} nor {bad_value!r}")
+
     columns = []
-    for name, raw in zip(header, zip(*rows)):
-        if name == outcome_column:
-            values, bad = _convert(raw, outcomes.__getitem__)
-            if bad is not None:
-                raise ParseError(f"line {bad[0] + 2}: outcome value {bad[1]!r} is neither "
-                                 f"{good_value!r} nor {bad_value!r}")
-            columns.append(Column(name, CATEGORICAL, values))
-            continue
-        values, bad = _convert(raw, int)
-        columns.append(Column(name, INTEGER, values) if bad is None
-                       else Column(name, CATEGORICAL, raw))
+    for j, (name, table, part) in enumerate(zip(header, distinct, parts)):
+        try:  # an integer column maps each distinct string onto its int
+            ints = None if j == label else {v: int(v) for v in table}
+        except ValueError:
+            ints = None
+        columns.append(_joined(name, CATEGORICAL if ints is None else INTEGER, part, ints))
     return Dataset(columns=tuple(columns), outcome=outcome_column)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -391,6 +392,15 @@ def _undecodable_csv(tmp_path, outputs, german_path):
     return argv
 
 
+def _oversized_field_csv(tmp_path, outputs, german_path):
+    argv = _csv_case({"sensitive_features": ["group"]})(tmp_path, outputs, german_path)
+    data = tmp_path / "generic.csv"
+    header, *rows = data.read_text().splitlines(keepends=True)
+    rows[40] = "g0," + "1" * _FIELD_LIMIT + "1,ok\n"
+    data.write_text(header + "".join(rows))
+    return argv
+
+
 def _duplicate_header_csv(tmp_path, outputs, german_path):
     argv = _csv_case({"sensitive_features": ["group"]})(tmp_path, outputs, german_path)
     data = tmp_path / "generic.csv"
@@ -410,6 +420,7 @@ def _undecodable_copy(name, command):
     return argv
 
 
+_FIELD_LIMIT = csv.field_size_limit()
 _OUTCOME_SENSITIVE = {"sensitive_features": ["gender", "outcome"]}
 _OUTCOME_SENSITIVE_ERROR = "sensitive_features: 'outcome' is the outcome column"
 
@@ -506,6 +517,9 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
                          "line 2: expected row_id 0 and a score, got ['0']"),
     "non_integer_score": (_scores_case(lambda rows: ["0,high,good", *rows[1:]]),
                           "line 2: score 'high' is not an integer"),
+    "oversized_score_field": (
+        _scores_case(lambda rows: [*rows[:3], "3," + "7" * (_FIELD_LIMIT + 1), *rows[4:]]),
+        f"scores.csv: line 5: field larger than field limit ({_FIELD_LIMIT})"),
     "risk_report_without_overall": (_risk_report_case(
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "overall"})),
         "'overall' is a required property"),
@@ -518,6 +532,9 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
         "german.data: 'ascii' codec can't decode byte 0xff"),
     "undecodable_csv_dataset": (_undecodable_csv,
                                 "generic.csv: 'utf-8' codec can't decode byte 0xff"),
+    "oversized_csv_field": (_oversized_field_csv,
+                            f"generic.csv: line 42: field larger than field limit "
+                            f"({_FIELD_LIMIT})"),
     "duplicate_csv_header": (_duplicate_header_csv,
                              "generic.csv: line 1: column 'group' appears twice in the header"),
     "undecodable_scores": (

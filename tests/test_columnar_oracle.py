@@ -1,8 +1,10 @@
 """The columnar German Credit and CSV loaders, the sensitive-feature
 derivation and the count-table binning fit against their row-scan
 oracles: equal datasets and identical errors on resampled and corrupted
-files and datasets, identical bins on generated columns."""
+files and datasets, at several loader block sizes, identical bins on
+generated columns."""
 
+import contextlib
 import csv
 import io
 import os
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rowscan_oracle as oracle
-from fairaudit import scorecard as sc
+from fairaudit import scorecard as sc, tabular
 from fairaudit.tabular import (
     _CODE_DOMAINS,
     _INTEGER_ATTRS,
@@ -84,6 +86,20 @@ def german_files(draw, max_corruptions):
     return "".join(sep.join(fields) + "\n" for fields in rows)
 
 
+# blocks of one line, a few lines and the default: a file is cut between
+# blocks after every line, after some lines, or nowhere
+BLOCK_SIZES = (1, 2, 7, tabular._BLOCK_LINES)
+BLOCK_LINES = pytest.mark.parametrize("block_lines", BLOCK_SIZES)
+
+
+@contextlib.contextmanager
+def _blocks_of(lines):
+    """Loaders that split and convert `lines` lines at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tabular, "_BLOCK_LINES", lines)
+        yield
+
+
 def _load(load, *args):
     """The dataset `load(*args)` returns, with the value types of each
     column, or the type and message of the ValueError it raises."""
@@ -100,18 +116,42 @@ def data_path(tmp_path_factory):
 
 
 class TestLoaderAgainstRowScan:
-    @given(german_files(max_corruptions=0))
-    def test_resampled_files_give_equal_datasets(self, data_path, text):
+    @given(german_files(max_corruptions=0), st.sampled_from(BLOCK_SIZES))
+    def test_resampled_files_give_equal_datasets(self, data_path, text, block_lines):
         data_path.write_text(text, encoding="ascii")
-        got = _load(load_german_credit, data_path)
+        with _blocks_of(block_lines):
+            got = _load(load_german_credit, data_path)
         assert got[0] == "ok"
         assert got == _load(oracle.load_german_credit, data_path)
 
-    @given(german_files(max_corruptions=4))
-    def test_corrupted_files_give_the_same_error(self, data_path, text):
+    @given(german_files(max_corruptions=4), st.sampled_from(BLOCK_SIZES))
+    def test_corrupted_files_give_the_same_error(self, data_path, text, block_lines):
         data_path.write_text(text, encoding="ascii")
-        assert _load(load_german_credit, data_path) == _load(oracle.load_german_credit,
-                                                              data_path)
+        with _blocks_of(block_lines):
+            got = _load(load_german_credit, data_path)
+        assert got == _load(oracle.load_german_credit, data_path)
+
+    @BLOCK_LINES
+    def test_decode_error_after_a_short_line(self, tmp_path, block_lines):
+        rows = [GERMAN_ROWS[0][:20], *GERMAN_ROWS[1:9], [*GERMAN_ROWS[9][:20], "\xff"]]
+        path = tmp_path / "german.data"
+        path.write_bytes("".join(" ".join(r) + "\n" for r in rows).encode("latin-1"))
+        with _blocks_of(block_lines):
+            got = _load(load_german_credit, path)
+        assert got[0] is UnicodeDecodeError
+        assert got == _load(oracle.load_german_credit, path)
+
+    @BLOCK_LINES
+    def test_other_line_breaks(self, tmp_path, block_lines):
+        # str.splitlines also ends a line at \r, \x0c and \x1c, and takes \r\n as one break
+        breaks = ["\r", "\x0c", "\n", "\x1c", "\r\n", "\r", "\n", "\n", "\x0c", "\n"]
+        path = tmp_path / "german.data"
+        path.write_bytes("".join(" ".join(r) + b for r, b in zip(GERMAN_ROWS, breaks))
+                         .encode("ascii"))
+        with _blocks_of(block_lines):
+            got = _load(load_german_credit, path)
+        assert got[0] == "ok" and got[1].size == len(breaks)
+        assert got == _load(oracle.load_german_credit, path)
 
     @pytest.mark.parametrize("edits, message", [
         ([(2, 3, "A99"), (3, slice(0, 20), None)], "line 2: unknown code 'A99' for Attribute4"),
@@ -143,17 +183,22 @@ class TestLoaderAgainstRowScan:
         assert _load(load_german_credit, path) == _load(oracle.load_german_credit, path) == (
             ParseError, f"{path}: empty file")
 
-    def test_rows_share_one_string_per_code(self, german_raw):
-        for c in german_raw.columns:
-            if c.kind == CATEGORICAL:
-                assert len({id(v) for v in c.values}) == len(set(c.values))
+    def test_rows_share_one_string_per_code(self, german_raw, tmp_path):
+        path = tmp_path / "german.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([[f"c{i}" for i in range(21)], *GERMAN_ROWS])
+        for d in (german_raw, load_csv(path, "c20", "1", "2")):
+            for c in d.columns:
+                if c.kind == CATEGORICAL:
+                    assert len({id(v) for v in c.values}) == len(set(c.values))
 
 
 # --- the CSV loader against the row-scan loader ------------------------------
 
-# int() accepts the first six: blanks, a sign, underscores, non-ASCII digits
+# int() accepts the first six: blanks, a sign, underscores, non-ASCII digits;
+# a quoted line break makes a record of two lines, which a block cut may split
 _CSV_VALUES = (" 7", "+7", "1_0", "-3", "\u0663", "007",
-               "", "x", "\u00e9", "7.0", "1__0", "A11")
+               "", "x", "\u00e9", "7.0", "1__0", "A11", "1\n2")
 _OUTCOME_VALUES = ("ok", "ko", "good", "bad", "1", "")
 
 
@@ -190,20 +235,40 @@ def csv_path(tmp_path_factory):
 
 
 class TestCsvLoaderAgainstRowScan:
-    @given(csv_files(max_corruptions=0))
-    def test_well_formed_files_give_equal_datasets(self, csv_path, case):
+    @given(csv_files(max_corruptions=0), st.sampled_from(BLOCK_SIZES))
+    def test_well_formed_files_give_equal_datasets(self, csv_path, case, block_lines):
         text, good, bad = case
         csv_path.write_text(text, encoding="utf-8")
-        got = _load(load_csv, csv_path, "label", good, bad)
+        with _blocks_of(block_lines):
+            got = _load(load_csv, csv_path, "label", good, bad)
         assert got[0] == "ok"
         assert got == _load(oracle.load_csv, csv_path, "label", good, bad)
 
-    @given(csv_files(max_corruptions=3))
-    def test_corrupted_files_give_the_same_error(self, csv_path, case):
+    @given(csv_files(max_corruptions=3), st.sampled_from(BLOCK_SIZES))
+    def test_corrupted_files_give_the_same_error(self, csv_path, case, block_lines):
         text, good, bad = case
         csv_path.write_text(text, encoding="utf-8")
-        assert _load(load_csv, csv_path, "label", good, bad) == _load(
-            oracle.load_csv, csv_path, "label", good, bad)
+        with _blocks_of(block_lines):
+            got = _load(load_csv, csv_path, "label", good, bad)
+        assert got == _load(oracle.load_csv, csv_path, "label", good, bad)
+
+    def test_ragged_row_in_a_later_block_before_an_earlier_outcome(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,label\n1,ok\n2,maybe\n3,ko\n4,ok\n5\n6,ko\n", encoding="utf-8")
+        with _blocks_of(2):
+            got = _load(load_csv, path, "label", "ok", "ko")
+        assert got == _load(oracle.load_csv, path, "label", "ok", "ko") == (
+            ParseError, "line 6: expected 2 fields, got 1")
+
+    @BLOCK_LINES
+    def test_other_line_breaks(self, tmp_path, block_lines):
+        # a csv reader ends a line at \r and \r\n, but not at \x0c or \x1c
+        path = tmp_path / "data.csv"
+        path.write_bytes("a,label\r1,ok\r\n2\x0c,ko\n3\x1c,ok\r4,ko\n".encode("utf-8"))
+        with _blocks_of(block_lines):
+            got = _load(load_csv, path, "label", "ok", "ko")
+        assert got[0] == "ok" and got[1].size == 4
+        assert got == _load(oracle.load_csv, path, "label", "ok", "ko")
 
     def test_good_value_equal_to_bad_value_rejected(self, tmp_path):
         path = tmp_path / "data.csv"

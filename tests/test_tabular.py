@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from peak_rss import write_resample
 from fairaudit.detection import DetectionConfig, subclass_double_check
 from fairaudit.tabular import (
     AGE_GROUP,
@@ -76,6 +78,21 @@ class TestGermanLoader:
         path.write_text("")
         with pytest.raises(ParseError, match="empty"):
             load_german_credit(path)
+
+    def test_load_holds_little_beyond_the_dataset(self, tmp_path):
+        # beyond the dataset, the load holds the file's text, one block's
+        # fields and one column's copy (about 1.8x the file); holding every
+        # field of the file as its own string at once takes about 13x
+        path = tmp_path / "german.data"
+        write_resample(path, 20_000, seed=7)
+        tracemalloc.start()
+        try:
+            d = load_german_credit(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.size == 20_000
+        assert peak - kept < 3 * path.stat().st_size
 
 
 class TestCsvLoader:
