@@ -116,7 +116,7 @@ class SweepGrid:
     step: int = 10
 
     def __post_init__(self):
-        if self.step <= 0 or not self.values():
+        if self.step <= 0 or self.start > self.stop:
             raise ValueError("empty sweep threshold grid: need step > 0 and start <= stop")
 
     def values(self) -> list[int]:

@@ -4,8 +4,8 @@ Acceptance at a score threshold splits applicants; among the accepted,
 the observed default labels give the bad rate, provisions reserve a
 fixed fraction of the exposed credit, and profit is interest income on
 accepted non-defaulters minus provisions.  The sweep walks a threshold
-grid and weighs the fairness risk of the model's classifications at each
-point (one labelling of a battery planned once) against the data's risk.
+grid, weighing the model's fairness risk at each point (one labelling of
+a battery counted once for the whole grid) against the data's risk.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ whole columns one column at a time.  Datasets are immutable after
 load; "mutating" helpers return new Dataset objects sharing column data.
 Each column encodes itself once, on first use, as integer codes over its
 sorted distinct values; partitions and label counts are numpy operations
-over those codes: `partition` splits every row by sensitive class, and
-`group_rows` numbers the subclasses whose cells `detection` cuts from it.
+over those codes: `partition` splits every row by sensitive class,
+`group_rows` numbers the subclasses, and `label_distribution` counts the
+rows of every (subclass, class) key under every labelling in one bincount.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import EmptyClassError, ProbabilityDistribution
+# re-exported for callers that build distributions from these counts
+from .divergence import EmptyClassError, ProbabilityDistribution  # noqa: F401
 
 GOOD = "good"
 BAD = "bad"
@@ -165,22 +167,15 @@ class SensitiveSpec:
 
 @dataclass(frozen=True)
 class FeaturePartition:
-    """The cells induced by a sensitive feature under optional conditions.
+    """The cells induced by a sensitive feature over every row.
 
-    Cells are pairwise disjoint and their union is exactly the set of rows
-    matching `conditions`.  Empty cells are kept (they are flagged with
-    warnings downstream, never silently dropped).
+    Cells are pairwise disjoint and their union is every row.  Empty cells
+    are kept (they are flagged with warnings downstream, never silently
+    dropped).
     """
 
     feature: SensitiveSpec
     cells: dict  # class label -> ascending np.intp array of row indices
-    conditions: tuple[tuple[str, str], ...]
-
-    def non_empty(self) -> list[str]:
-        return [c for c in self.feature.classes if len(self.cells[c])]
-
-    def empty(self) -> list[str]:
-        return [c for c in self.feature.classes if not len(self.cells[c])]
 
 
 # --- German Credit loader -------------------------------------------------
@@ -468,7 +463,7 @@ def partition(d: Dataset, feature: SensitiveSpec) -> FeaturePartition:
     # codes are never negative, so an absent class gets an empty cell
     cells = {c: np.flatnonzero(labels.codes == labels.index.get(c, -1))
              for c in feature.classes}
-    return FeaturePartition(feature=feature, cells=cells, conditions=())
+    return FeaturePartition(feature=feature, cells=cells)
 
 
 def outcome_levels(d: Dataset, outcome: str) -> np.ndarray:
@@ -479,17 +474,17 @@ def outcome_levels(d: Dataset, outcome: str) -> np.ndarray:
     return (enc.codes == enc.index.get(GOOD, -1)).astype(np.intp)
 
 
-def label_distribution(levels: np.ndarray, rows, labellings: int) -> list[ProbabilityDistribution]:
-    """The (bad, good) distribution of a row-index set under each labelling
-    i < `labellings`, where row r is good iff `i < levels[r]`: one reversed
-    cumulative sum of the level counts.  Consecutive labellings with equal
-    counts share one object; an empty row set raises EmptyClassError."""
-    rows = np.asarray(rows, dtype=np.intp)
-    at_least = np.cumsum(np.bincount(levels[rows], minlength=labellings + 1)[::-1])[::-1]
-    dists, last = [], None
-    for good in at_least[1:labellings + 1].tolist():
-        if good != last:
-            dist = ProbabilityDistribution.from_counts((BAD, GOOD), (len(rows) - good, good))
-            last = good
-        dists.append(dist)
-    return dists
+def label_distribution(levels: np.ndarray, key: np.ndarray, n_keys: int,
+                       labellings: int) -> np.ndarray:
+    """Count the rows of every key under each labelling i < `labellings`,
+    where row r is good iff `i < levels[r]`.
+
+    Requires `0 <= key < n_keys` and `0 <= levels <= labellings`.  Returns
+    the int array `at_least` of shape `(n_keys, labellings + 1)`:
+    `at_least[g, 0]` is key g's row count and `at_least[g, i + 1]` its rows
+    good under labelling i.  One bincount over (key, level) pairs and a
+    reversed cumulative sum along the levels; a key with no rows counts 0.
+    """
+    width = labellings + 1
+    counts = np.bincount(key * width + levels, minlength=n_keys * width)
+    return np.cumsum(counts.reshape(n_keys, width)[:, ::-1], axis=1)[:, ::-1]

@@ -1,12 +1,13 @@
 """Row-scan reference implementations of the loading, counting and
 scoring cores.
 
-These are the original per-row versions of `tabular.partition`,
-`tabular.label_distribution` and the subclass enumeration of
-`detection.subclass_double_check`, the per-column grouping of
-`tabular.group_rows`, the threshold sweep as one battery per threshold
-and the Kullback-Leibler and Jensen-Shannon kernels over a validated
-mixture distribution (test_counting_oracle.py), of the scorecard's value-to-bin mapping,
+These are the original per-row versions of: `tabular.partition` under
+optional subclass conditions, the outcome distribution of a row set and
+the subclass enumeration, from which test_counting_oracle.py rebuilds
+every line of `detection.run_test`; `tabular.group_rows`; the threshold
+sweep as one battery per threshold; and the Kullback-Leibler and
+Jensen-Shannon kernels over a validated mixture distribution (all in
+test_counting_oracle.py).  Also of the scorecard's value-to-bin mapping,
 logistic fit and scoring (test_scorecard.py), and of the German Credit
 and CSV loaders, the sensitive-feature derivation and the binning fit
 (test_columnar_oracle.py).  They are kept only as a differential oracle
@@ -18,6 +19,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +55,6 @@ from fairaudit.tabular import (
     Column,
     Dataset,
     EmptyClassError,
-    FeaturePartition,
     ParseError,
     ProbabilityDistribution,
     SensitiveSpec,
@@ -198,7 +199,16 @@ def derive_sensitive_features(d: Dataset) -> Dataset:
     ])
 
 
-def partition(d: Dataset, feature: SensitiveSpec, conditions=()) -> FeaturePartition:
+class ConditionedPartition(NamedTuple):
+    """The cells induced by a sensitive feature on the rows that match
+    `conditions`: class label -> tuple of ascending row indices."""
+
+    feature: SensitiveSpec
+    cells: dict
+    conditions: tuple
+
+
+def partition(d: Dataset, feature: SensitiveSpec, conditions=()) -> ConditionedPartition:
     if not d.has_column(feature.column):
         raise ValueError(f"sensitive column {feature.column!r} not in dataset")
     conditions = tuple((str(c), v) for c, v in conditions)
@@ -216,9 +226,9 @@ def partition(d: Dataset, feature: SensitiveSpec, conditions=()) -> FeatureParti
                 raise ValueError(f"class label {label!r} outside declared classes "
                                  f"of {feature.name!r}")
             cells[label].append(i)
-    return FeaturePartition(feature=feature,
-                            cells={c: tuple(rows) for c, rows in cells.items()},
-                            conditions=conditions)
+    return ConditionedPartition(feature=feature,
+                                cells={c: tuple(rows) for c, rows in cells.items()},
+                                conditions=conditions)
 
 
 def group_rows(size: int, keys) -> tuple[np.ndarray, np.ndarray]:

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
 
 from fairaudit import cli, report
-from fairaudit.config import AuditConfig, ConfigError, config_from_dict, load_config
+from fairaudit.config import (AuditConfig, ConfigError, SweepGrid, config_from_dict,
+                              load_config)
 from fairaudit.detection import DetectionConfig
 
 EXAMPLE_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -272,6 +274,18 @@ class TestConfig:
 
     def test_defaults_when_no_config(self):
         assert load_config(None) == AuditConfig()
+
+    def test_grid_checked_without_building_it(self):
+        # every command loads the config; only sweep walks the grid
+        tracemalloc.start()
+        try:
+            SweepGrid(0, 10 ** 6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert SweepGrid(5, 5, 10).values() == [5]
+        assert SweepGrid(0, 25, 10).values() == [0, 10, 20]
 
     def test_one_source_for_defaults(self):
         assert DetectionConfig() == AuditConfig().detection

@@ -1,8 +1,11 @@
 """The encoded counting core against the row-scan oracle on small
-generated datasets: same cells, counts, subclass order, subclass cells and
-errors; the threshold sweep against one battery per threshold, row for
-row; and the divergence kernel against its validated-mixture version, bit
-for bit."""
+generated datasets: same cells, counts and errors, and every line of a
+test (subclass order, support, compared classes, divergence, threshold,
+warnings) rebuilt from per-row scans; the threshold sweep against one
+battery per threshold, row for row; and the divergence kernel against its
+validated-mixture version, bit for bit."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,8 +14,7 @@ from hypothesis import example, given, strategies as st
 import rowscan_oracle as oracle
 from fairaudit import divergence as dv
 from fairaudit.config import MODES, RevenueConfig
-from fairaudit.detection import (Comparison, DetectionConfig, run_test,
-                                 subclass_double_check)
+from fairaudit.detection import DetectionConfig, run_test
 from fairaudit.revenue import sweep
 from fairaudit.tabular import (
     BAD,
@@ -26,7 +28,6 @@ from fairaudit.tabular import (
     SensitiveSpec,
     group_rows,
     label_distribution,
-    outcome_levels,
     partition,
 )
 
@@ -76,6 +77,19 @@ def keyed_rows(draw):
 
 
 @st.composite
+def keyed_levels(draw):
+    """(levels, key, n_keys, labellings): up to 30 rows, each with a level
+    in [0, labellings] and a key in [0, n_keys); often some keys have no
+    rows."""
+    size = draw(st.integers(0, 30))
+    labellings = draw(st.integers(1, 5))
+    n_keys = draw(st.integers(1, size + 3))
+    levels = draw(st.lists(st.integers(0, labellings), min_size=size, max_size=size))
+    key = draw(st.lists(st.integers(0, n_keys - 1), min_size=size, max_size=size))
+    return levels, key, n_keys, labellings
+
+
+@st.composite
 def sweeps(draw):
     """(dataset with an `amount` column, sensitive spec, conditioning
     columns, scores, threshold grid), with declared class labels only (the
@@ -106,18 +120,35 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def _label_masses(dist):
-    """A distribution as label -> mass, over the labels it gives mass to."""
-    return {label: m for label, m in zip(dist.support, dist.mass) if m}
+def _oracle_line(d, spec, conditions, min_support, cfg):
+    """A line's (compared, union_count, divergence, epsilon, violated,
+    warnings), rebuilt from a row scan of its subclass."""
+    cells = oracle.partition(d, spec, conditions).cells
+    support = sum(map(len, cells.values()))
+    if support < min_support:
+        return ((), support, None, None, False,
+                (f"subclass support {support} below minimum {min_support}; skipped",))
+    present = tuple(c for c in spec.classes if cells[c])
+    warnings = tuple(f"class '{c}' is empty; excluded from comparison"
+                     for c in spec.classes if not cells[c])
+    if len(present) < 2:
+        return (present, support, None, None, False,
+                warnings + ("fewer than 2 non-empty classes; comparison skipped",))
+    dists = [oracle.label_distribution(d, cells[c], "outcome") for c in present]
+    agg = dv.aggregate([dv.js(p, q) for p, q in combinations(dists, 2)], cfg.aggregation)
+    eps = dv.auto_threshold(cfg.r, len(spec.classes), support, d.size,
+                            intervals=cfg.intervals, c_ref=cfg.c_ref).epsilon
+    return present, support, agg, eps, agg.value > eps, warnings
 
 
 class TestAgainstRowScan:
-    @given(audits(), st.integers(1, 3), st.sampled_from((0, 1, 3, 10)))
-    def test_partitions_counts_and_subclasses(self, audit, depth, min_support):
+    @given(audits(), st.integers(1, 3), st.sampled_from((0, 1, 3, 10)),
+           st.sampled_from(dv.AGGREGATIONS))
+    def test_partitions_counts_and_subclasses(self, audit, depth, min_support, aggregation):
         d, spec, cols = audit
         got = _outcome(partition, d, spec)
         want = _outcome(oracle.partition, d, spec)
-        cfg = DetectionConfig(depth=depth, min_support=min_support)
+        cfg = DetectionConfig(depth=depth, min_support=min_support, aggregation=aggregation)
         if got[0] != "ok" or want[0] != "ok":
             # the same whole-data, first-row error, and never only one of them
             assert got == want == _outcome(run_test, d, spec, "outcome", cols, cfg)
@@ -125,41 +156,30 @@ class TestAgainstRowScan:
         fp, expected_fp = got[1], want[1]
         # arrays have no == truth value: compare the cells as tuples
         assert {c: tuple(r.tolist()) for c, r in fp.cells.items()} == expected_fp.cells
-        assert (fp.feature, fp.conditions) == (expected_fp.feature, expected_fp.conditions)
-        levels = outcome_levels(d, "outcome")
+        assert fp.feature == expected_fp.feature
         for rows in fp.cells.values():
-            if len(rows):
-                dist, = label_distribution(levels, rows, 1)
-                assert (_label_masses(dist)
-                        == _label_masses(oracle.label_distribution(d, rows, "outcome")))
+            assert rows.dtype == np.intp and rows.ndim == 1
 
-        expected = oracle.subclass_conditions(d, cols, depth)
-        lines = subclass_double_check(d, fp, cols, cfg)
-        assert [line.conditions for line in lines] == expected
-        assert [line.union_count for line in lines] == [
-            sum(len(rows) for rows in oracle.partition(d, spec, c).cells.values())
-            for c in expected]
+        lines = run_test(d, spec, "outcome", cols, cfg).lines
+        conditions = [()] + oracle.subclass_conditions(d, cols, depth)
+        assert [line.conditions for line in lines] == conditions
+        # the top line is never skipped for its support
+        floors = [0] + [min_support] * (len(conditions) - 1)
+        assert [(line.compared, line.union_count, line.divergence, line.epsilon,
+                 line.violated, line.warnings) for line in lines] == [
+            _oracle_line(d, spec, c, floor, cfg) for c, floor in zip(conditions, floors)]
 
-    @given(audits(undeclared=False), st.integers(1, 3), st.sampled_from((0, 1, 3, 10)))
-    def test_subclass_cells(self, audit, depth, min_support):
-        d, spec, cols = audit
-        lines = subclass_double_check(d, partition(d, spec), cols,
-                                      DetectionConfig(depth=depth, min_support=min_support))
-        expected = oracle.subclass_conditions(d, cols, depth)
-        assert [line.conditions for line in lines] == expected
-        for line in lines:
-            cells = oracle.partition(d, spec, line.conditions).cells
-            present = {c: rows for c, rows in cells.items() if rows}
-            if isinstance(line, Comparison):
-                assert {c: tuple(r.tolist()) for c, r in line.cells.items()} == present
-                assert list(line.cells) == list(present)  # in class order
-                for rows in line.cells.values():
-                    assert rows.dtype == np.intp and rows.ndim == 1
-                    assert (np.diff(rows) > 0).all()
-                continue
-            support = sum(map(len, present.values()))
-            assert line.union_count == support
-            assert line.compared == (() if support < min_support else tuple(present))
+    @given(keyed_levels())
+    def test_label_distribution(self, case):
+        levels, key, n_keys, labellings = case
+        at_least = label_distribution(np.array(levels, dtype=np.intp),
+                                      np.array(key, dtype=np.intp), n_keys, labellings)
+        assert at_least.shape == (n_keys, labellings + 1)
+        assert at_least.tolist() == [
+            [sum(1 for k in key if k == g)]
+            + [sum(1 for k, level in zip(key, levels) if k == g and i < level)
+               for i in range(labellings)]
+            for g in range(n_keys)]
 
     @given(keyed_rows())
     # mixed-radix keys of up to 2**64 - 1 and of exactly 2**63 - 1

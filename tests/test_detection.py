@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fairaudit import detection as det
@@ -8,9 +9,9 @@ from fairaudit.tabular import (
     Column,
     Dataset,
     FOREIGN,
+    GENDER,
+    ProbabilityDistribution,
     SensitiveSpec,
-    label_distribution,
-    outcome_levels,
     partition,
 )
 
@@ -80,9 +81,10 @@ class TestCompareClasses:
         d = Dataset(columns=(Column("t", "categorical", tuple(t)),
                              Column("outcome", "categorical", tuple(outcome))),
                     outcome="outcome")
-        fp, levels = partition(d, trip), outcome_levels(d, "outcome")
-        pairwise = [dv.js(label_distribution(levels, fp.cells[a], 1)[0],
-                          label_distribution(levels, fp.cells[b], 1)[0]).value
+        dists = {cls: ProbabilityDistribution.from_counts(
+                     (BAD, GOOD), (labels.count(BAD), labels.count(GOOD)))
+                 for cls, labels in cols.items()}
+        pairwise = [dv.js(dists[a], dists[b]).value
                     for a, b in (("p", "q"), ("p", "r"), ("q", "r"))]
         line = top_line(d, trip, det.DetectionConfig(aggregation="max"))
         assert line.divergence.value == max(pairwise)
@@ -98,20 +100,23 @@ class TestCompareClasses:
         assert any("empty" in w for w in line.warnings)
 
 
+def subclass_lines(d, spec, cols, cfg):
+    """The subclass lines of the test of `spec` on the outcome labels."""
+    return det.run_test(d, spec, "outcome", cols, cfg).lines[1:]
+
+
 class TestSubclassDoubleCheck:
     def test_enumeration_count(self, german):
         cols = ["Attribute1", "Attribute3"]  # 4 + 5 observed values
         cfg = det.DetectionConfig(min_support=10_000)  # force all to skip
-        from fairaudit.tabular import GENDER
-        lines = det.subclass_double_check(german, partition(german, GENDER), cols, cfg)
+        lines = subclass_lines(german, GENDER, cols, cfg)
         assert len(lines) == 4 + 5
         assert all(l.skipped for l in lines)
 
     def test_depth_two_combinations(self, german):
         cols = ["Attribute19", "Attribute20"]  # 2 x 2 codes
         cfg = det.DetectionConfig(depth=2, min_support=10_000)
-        from fairaudit.tabular import GENDER
-        lines = det.subclass_double_check(german, partition(german, GENDER), cols, cfg)
+        lines = subclass_lines(german, GENDER, cols, cfg)
         joint = {(a, b) for a, b in zip(german.column("Attribute19").values,
                                         german.column("Attribute20").values)}
         assert len(lines) == 2 + 2 + len(joint)
@@ -122,19 +127,28 @@ class TestSubclassDoubleCheck:
         outcome = [GOOD, BAD] * 8
         d = build(sex, grp, outcome)
         cfg = det.DetectionConfig(min_support=1)
-        lines = det.subclass_double_check(d, partition(d, SEX), ["grp"], cfg)
+        lines = subclass_lines(d, SEX, ["grp"], cfg)
         assert len(lines) == 2
         assert all(l.skipped for l in lines)
         assert all(any("fewer than 2" in w for w in l.warnings) for l in lines)
+        assert [l.compared for l in lines] == [("a",), ("b",)]
+        assert [l.warnings[0] for l in lines] == [
+            "class 'b' is empty; excluded from comparison",
+            "class 'a' is empty; excluded from comparison"]
 
     def test_min_support_skips_with_warning(self, german):
-        from fairaudit.tabular import GENDER
-        cfg = det.DetectionConfig(min_support=400)
-        lines = det.subclass_double_check(german, partition(german, GENDER),
-                                          ["Attribute1"], cfg)
-        # a planned compared line is a Comparison, a skipped one a TestLine
-        skipped = [l for l in lines if isinstance(l, det.TestLine)]
-        assert skipped and all(l.skipped and "below minimum" in l.warnings[0] for l in skipped)
+        cfg = det.DetectionConfig(min_support=300)
+        lines = subclass_lines(german, GENDER, ["Attribute1"], cfg)
+        values = german.column("Attribute1").values
+        counts = {v: values.count(v) for v in ("A11", "A12", "A13", "A14")}
+        assert [l.union_count for l in lines] == list(counts.values())
+        for line, support in zip(lines, counts.values()):
+            if support < 300:
+                assert line.skipped and line.compared == ()
+                assert line.warnings == (f"subclass support {support} below minimum 300; skipped",)
+            else:
+                assert not line.skipped and line.compared == ("male", "female")
+        assert any(l.skipped for l in lines) and not all(l.skipped for l in lines)
 
     @pytest.mark.parametrize("min_support", [0, 10_000])
     def test_run_test_partitions_once(self, german, monkeypatch, min_support):
@@ -170,10 +184,8 @@ class TestSubclassDoubleCheck:
         assert any(l.warnings for l in report.lines)
 
     def test_union_counts_bounded_per_column(self, german):
-        from fairaudit.tabular import GENDER
         cfg = det.DetectionConfig(min_support=0)
-        lines = det.subclass_double_check(german, partition(german, GENDER),
-                                          ["Attribute1"], cfg)
+        lines = subclass_lines(german, GENDER, ["Attribute1"], cfg)
         assert sum(l.union_count for l in lines) <= german.size
 
 
@@ -222,6 +234,19 @@ class TestRunTest:
             else:
                 assert l1.divergence.value == l2.divergence.value
                 assert l1.epsilon == l2.epsilon
+
+    def test_equal_labellings_share_a_line(self, monkeypatch):
+        # no row has level 2, so labellings 1 and 2 count the same good rows
+        levels = np.array([0, 1, 3, 3] * 5, dtype=np.intp)
+        calls = []
+        compare = det.compare_classes
+        monkeypatch.setattr(det, "compare_classes",
+                            lambda *args: calls.append(args) or compare(*args))
+        reports = det.run_tests(disjoint_dataset(), SEX, levels, 3, ["grp"],
+                                det.DetectionConfig(min_support=0))
+        assert len(calls) == 2 * 2  # (top, grp == x) x distinct labellings
+        for lines in zip(*(r.lines for r in reports)):
+            assert lines[1] is lines[2] and lines[0] != lines[1]
 
     def test_all_skipped_report_warning(self):
         d = build(["a"] * 6, ["x"] * 6, [GOOD, BAD] * 3)  # class b never present

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from peak_rss import write_resample
-from fairaudit.detection import DetectionConfig, subclass_double_check
+from fairaudit import divergence as dv
+from fairaudit.detection import DetectionConfig, run_test
 from fairaudit.tabular import (
     AGE_GROUP,
     BAD,
@@ -14,7 +15,6 @@ from fairaudit.tabular import (
     Dataset,
     EmptyClassError,
     FOREIGN,
-    FeaturePartition,
     GENDER,
     GOOD,
     ParseError,
@@ -189,14 +189,24 @@ class TestDeriveSensitive:
             sensitive_spec_for(german, "nope")
 
 
-def _subclass_partition(d, feature, column, value):
-    """The cells of `feature` in the subclass `column == value`, as the
-    double check plans them."""
-    lines = subclass_double_check(d, partition(d, feature), [column],
-                                  DetectionConfig(min_support=0))
-    line, = (l for l in lines if l.conditions == ((column, value),))
-    return FeaturePartition(feature, {c: line.cells.get(c, ()) for c in feature.classes},
-                            line.conditions)
+def _subclass_line(d, feature, column, value):
+    """The line of the subclass `column == value` in the test of `feature`."""
+    lines = run_test(d, feature, "outcome", [column], DetectionConfig(min_support=0)).lines
+    line, = (l for l in lines[1:] if l.conditions == ((column, value),))
+    return line
+
+
+def _scanned(d, feature, rows):
+    """The (compared classes, divergence) of a line over `rows`, from a scan
+    of their class labels and outcomes."""
+    labels, outcomes = d.column(feature.column).values, d.column("outcome").values
+    counts = {c: [0, 0] for c in feature.classes}  # class -> (bad, good)
+    for r in rows:
+        counts[labels[r]][outcomes[r] == GOOD] += 1
+    present = tuple(c for c in feature.classes if sum(counts[c]))
+    dists = [ProbabilityDistribution.from_counts((BAD, GOOD), counts[c]) for c in present]
+    pairs = [dv.js(p, q) for i, p in enumerate(dists) for q in dists[i + 1:]]
+    return present, dv.aggregate(pairs, DetectionConfig().aggregation) if pairs else None
 
 
 class TestPartition:
@@ -207,11 +217,11 @@ class TestPartition:
         assert sum(len(rows) for rows in fp.cells.values()) == german.size
 
     def test_condition_filters(self, german):
-        fp = _subclass_partition(german, GENDER, "Attribute10", "A103")
+        line = _subclass_line(german, GENDER, "Attribute10", "A103")
         guarantor_rows = {i for i, v in enumerate(german.column("Attribute10").values)
                           if v == "A103"}
-        got = set(fp.cells["male"]) | set(fp.cells["female"])
-        assert got == guarantor_rows
+        assert line.union_count == len(guarantor_rows)
+        assert (line.compared, line.divergence) == _scanned(german, GENDER, guarantor_rows)
 
     def test_age_partition_property(self, german):
         fp = partition(german, AGE_GROUP)
@@ -227,13 +237,10 @@ class TestPartition:
         ("Attribute1", "A14"), ("Attribute3", "A30"), ("Attribute6", "A64"),
     ])
     def test_disjoint_cover_under_conditions(self, german, feature, column, value):
-        fp = _subclass_partition(german, feature, column, value)
+        line = _subclass_line(german, feature, column, value)
         matching = {i for i, v in enumerate(german.column(column).values) if v == value}
-        union = set()
-        for rows in fp.cells.values():
-            assert not (union & set(rows))
-            union |= set(rows)
-        assert union == matching
+        assert line.union_count == len(matching)
+        assert (line.compared, line.divergence) == _scanned(german, feature, matching)
 
     def test_cells_are_ascending_index_arrays(self, german):
         fp = partition(german, AGE_GROUP)
@@ -243,46 +250,55 @@ class TestPartition:
         for rows in (*fp.cells.values(), *empty.cells.values()):
             assert rows.dtype == np.intp and rows.ndim == 1
             assert (np.diff(rows) > 0).all()
-        assert empty.cells["b"].tolist() == [] and empty.empty() == ["b"]
-        span, levels = range(100, 400), outcome_levels(german, "outcome")
-        assert (label_distribution(levels, span, 1)
-                == label_distribution(levels, np.arange(100, 400), 1)
-                == label_distribution(levels, tuple(span), 1))
+        assert empty.cells["b"].tolist() == []
 
     def test_unknown_column(self, german):
         with pytest.raises(ValueError, match="unknown column"):
-            subclass_double_check(german, partition(german, GENDER), ["NoSuch"],
-                                  DetectionConfig())
+            run_test(german, GENDER, "outcome", ["NoSuch"], DetectionConfig())
+
+
+def _one_key(size, rows):
+    """A two-key row keying: key 1 on `rows`, key 0 on the others."""
+    key = np.zeros(size, dtype=np.intp)
+    key[list(rows)] = 1
+    return key
 
 
 class TestLabelDistribution:
     def test_pooled(self, german):
-        dist, = label_distribution(outcome_levels(german, "outcome"), range(german.size), 1)
-        assert dict(zip(dist.support, dist.mass)) == {GOOD: 0.7, BAD: 0.3}
+        levels = outcome_levels(german, "outcome")
+        at_least = label_distribution(levels, np.zeros(german.size, dtype=np.intp), 1, 1)
+        assert at_least.tolist() == [[1000, 700]]
 
     def test_singleton(self, german):
         good_row = german.column("outcome").values.index(GOOD)
-        dist, = label_distribution(outcome_levels(german, "outcome"), [good_row], 1)
-        assert dict(zip(dist.support, dist.mass)) == {GOOD: 1.0, BAD: 0.0}
+        at_least = label_distribution(outcome_levels(german, "outcome"),
+                                      _one_key(german.size, [good_row]), 2, 1)
+        assert at_least.tolist() == [[999, 699], [1, 1]]
 
     def test_empty_is_a_signal(self, german):
+        # a key with no rows counts zero rows, which no distribution accepts
+        at_least = label_distribution(outcome_levels(german, "outcome"),
+                                      np.zeros(german.size, dtype=np.intp), 3, 1)
+        assert at_least[1:].tolist() == [[0, 0], [0, 0]]
         with pytest.raises(EmptyClassError):
-            label_distribution(outcome_levels(german, "outcome"), [], 1)
+            ProbabilityDistribution.from_counts((BAD, GOOD), at_least[1].tolist())
 
     @given(st.lists(st.integers(min_value=0, max_value=999),
                     min_size=1, max_size=300))
     def test_masses_sum_to_one(self, rows):
         d = _GERMAN_CACHE[0]
-        dist, = label_distribution(outcome_levels(d, "outcome"), rows, 1)
+        at_least = label_distribution(outcome_levels(d, "outcome"), _one_key(d.size, rows), 2, 1)
+        total, good = at_least[1].tolist()
+        assert total == len(set(rows))
+        dist = ProbabilityDistribution.from_counts((BAD, GOOD), (total - good, good))
         assert abs(math.fsum(dist.mass) - 1.0) <= 1e-9
 
     def test_counts_every_labelling(self):
         # row r is good under labelling i iff i < levels[r]
         levels = np.array([0, 3, 1, 3, 4], dtype=np.intp)
-        dists = label_distribution(levels, [0, 1, 2, 3], 4)
-        assert [d.mass for d in dists] == [(0.25, 0.75), (0.5, 0.5), (0.5, 0.5), (1.0, 0.0)]
-        assert all(d.support == (BAD, GOOD) for d in dists)
-        assert dists[1] is dists[2]  # equal counts share one distribution
+        at_least = label_distribution(levels, np.array([0, 0, 0, 0, 1]), 2, 4)
+        assert at_least.tolist() == [[4, 3, 2, 2, 0], [1, 1, 1, 1, 1]]
 
     def test_outcome_levels(self):
         d = Dataset(columns=(Column("y", "categorical", (GOOD, BAD, GOOD)),
