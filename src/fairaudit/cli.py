@@ -275,10 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:  # before ValueError, which ConfigError subclasses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

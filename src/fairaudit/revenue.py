@@ -1,4 +1,4 @@
-"""Revenue side of the audit: bad rate, provisions, profit, threshold sweep.
+"""Revenue side of the audit: the profit and fairness-risk threshold sweep.
 
 Acceptance at a score threshold splits applicants; among the accepted,
 the observed default labels give the bad rate, provisions reserve a
@@ -6,6 +6,13 @@ fixed fraction of the exposed credit, and profit is interest income on
 accepted non-defaulters minus provisions.  The sweep walks a threshold
 grid, weighing the model's fairness risk at each point (one labelling of
 a battery counted once for the whole grid) against the data's risk.
+
+Each row's level (how many grid thresholds its score reaches) serves
+both sides: the batteries count the model's labellings from it, and
+`tabular.label_distribution` counts the accepted and bad rows at every
+threshold from it.  The credit total and the interest income are summed
+over the accepted rows in row order, so their bits do not depend on the
+Python version.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .config import MODES, DetectionConfig, RevenueConfig, SweepGrid  # noqa: F4
 from .detection import run_tests
 from .risk import battery_risk, run_battery
 from .scorecard import classify
-from .tabular import BAD, GOOD, Dataset, Column, DERIVED
+from .tabular import DERIVED, Column, Dataset, label_distribution, outcome_levels
 
 PREDICTION_COLUMN = "prediction"
 
@@ -41,23 +48,16 @@ class SweepRow:
               "profit", "model_risk", "data_risk", "risk_difference")
 
 
-def bad_rate(labels) -> float:
-    """Share of defaults among accepted applicants; 0 for an empty set."""
-    labels = list(labels)
-    if not labels:
-        return 0.0
-    return sum(1 for l in labels if l == BAD) / len(labels)
-
-
 def provisions(total_credit_amount: float, br: float, provision_factor: float) -> float:
     """Funds reserved against expected defaults."""
     return total_credit_amount * br * provision_factor
 
 
-def profit(amounts, rates, provisions_amount: float) -> float:
-    """Interest income over accepted non-defaulters minus provisions."""
-    revenue = sum(a * r for a, r in zip(amounts, rates))
-    return revenue - provisions_amount
+def _row_order_total(x: np.ndarray, accepted: np.ndarray) -> float:
+    """`x` added over the accepted rows in row order from 0.0, as Python's
+    `sum` adds floats up to 3.11 (`np.cumsum` adds in order, `np.sum`
+    pairwise; the leading `0.0 +` turns a total of -0.0 into 0.0)."""
+    return 0.0 + float(np.cumsum(np.where(accepted, x, 0.0))[-1])
 
 
 def with_predictions(d: Dataset, scores, threshold: int) -> Dataset:
@@ -116,30 +116,29 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
         raise ValueError("one score per row required")
 
     amounts, rates = credit_columns(d, rev_cfg)
-    outcomes = d.column(d.outcome).values
-
     _, data_risk = run_battery(d, d.outcome, features, nonsensitive, det_cfg, modes)
 
     # accepted at threshold t iff t < level (score >= threshold), in exact ints
     levels = np.array([bisect_right(thresholds, s) for s in scores], dtype=np.intp)
     model = [run_tests(d, f, levels, len(thresholds), nonsensitive, det_cfg) for f in features]
 
+    good = outcome_levels(d, d.outcome)
+    # the accepted good (key 0) and bad (key 1) rows at every threshold
+    n_good, n_bad = label_distribution(levels, 1 - good, 2, len(thresholds))[:, 1:].tolist()
+    amounts = np.array(amounts)
+    income = np.where(good == 1, amounts * np.array(rates), 0.0)
+
     rows = []
     for t, threshold in enumerate(thresholds):
-        accepted = np.flatnonzero(levels > t).tolist()
-        warnings = () if accepted else ("no rows accepted at this threshold",)
-        br = bad_rate([outcomes[i] for i in accepted])
-        total_credit = sum(amounts[i] for i in accepted)
-        prov = provisions(total_credit, br, rev_cfg.provision_factor)
-        performing = [i for i in accepted if outcomes[i] == GOOD]
-        prof = profit([amounts[i] for i in performing],
-                      [rates[i] for i in performing], prov)
-
+        n = n_good[t] + n_bad[t]
+        br = n_bad[t] / n if n else 0.0
+        accepted = levels > t
+        prov = provisions(_row_order_total(amounts, accepted), br, rev_cfg.provision_factor)
         model_risk = battery_risk([reports[t] for reports in model], modes)
         rows.append(SweepRow(
-            threshold=threshold, accepted_count=len(accepted), bad_rate=br,
-            provisions=prov, profit=prof,
+            threshold=threshold, accepted_count=n, bad_rate=br, provisions=prov,
+            profit=_row_order_total(income, accepted) - prov,
             model_risk=model_risk.overall, data_risk=data_risk.overall,
             risk_difference=model_risk.overall - data_risk.overall,
-            warnings=warnings))
+            warnings=() if n else ("no rows accepted at this threshold",)))
     return rows

@@ -1,14 +1,16 @@
-"""Peak RSS of `train` and `audit --target data` on a 100x German Credit file.
+"""Peak RSS of `train`, `audit --target data` and `sweep` on a 100x German
+Credit file.
 
     python3 tests/peak_rss.py
 
 Writes a seeded 100,000-row resample of data/german.data to a temporary
 directory, runs each command on it as a fresh `python -m fairaudit.cli`
-process (the package from this checkout's src/) and reads the process's
-peak RSS from `os.wait4`.  Prints one line per command and exits 1 when a
-peak is above LIMIT_MIB.  A child's reading can be this process's own RSS
-when that is the larger, but this process stays far below the limit, so a
-reading above it is the command's own.
+process (the package from this checkout's src/; `sweep` reads the
+`scores.csv` that `train` wrote) and reads the process's peak RSS from
+`os.wait4`.  Prints one line per command and exits 1 when a peak is above
+LIMIT_MIB.  A child's reading can be this process's own RSS when that is
+the larger, but this process stays far below the limit, so a reading above
+it is the command's own.
 """
 
 import os
@@ -53,9 +55,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "german.data")
         write_resample(data, ROWS, SEED)
-        for command in (["train"], ["audit", "--target", "data"]):
+        scores = os.path.join(tmp, "scores.csv")
+        for command in (["train"], ["audit", "--target", "data"], ["sweep", "--scores", scores]):
             peak = peak_rss_mib([*command, "--dataset", data, "--out", tmp], tmp)
-            print(f"{' '.join(command)}: peak RSS {peak:.1f} MiB (limit {LIMIT_MIB:g})")
+            label = " ".join(command).replace(tmp + os.sep, "")
+            print(f"{label}: peak RSS {peak:.1f} MiB (limit {LIMIT_MIB:g})")
             if peak > LIMIT_MIB:
                 over.append(command[0])
     return 1 if over else 0

@@ -2,8 +2,9 @@
 generated datasets: same cells, counts and errors, and every line of a
 test (subclass order, support, compared classes, divergence, threshold,
 warnings) rebuilt from per-row scans; the threshold sweep against one
-battery per threshold, row for row; and the divergence kernel against its
-validated-mixture version, bit for bit."""
+battery and one row-order sum per threshold, row for row and bit for
+bit; and the divergence kernel against its validated-mixture version,
+bit for bit."""
 
 from itertools import combinations
 
@@ -92,17 +93,27 @@ def keyed_levels(draw):
 @st.composite
 def sweeps(draw):
     """(dataset with an `amount` column, sensitive spec, conditioning
-    columns, scores, threshold grid), with declared class labels only (the
-    battery's errors are the audits' own).  Scores and thresholds share a
-    small range, so scores tie with thresholds, and some grids lie wholly
-    below or above every score."""
+    columns, scores, threshold grid, revenue config), with declared class
+    labels only (the battery's errors are the audits' own).  Scores and
+    thresholds share a small range, so scores tie with thresholds, and some
+    grids lie wholly below or above every score.  Amounts have fractional
+    parts, so a sum in any order but row order shows in the last bits, and
+    some datasets carry a per-row `rate` column."""
     d, spec, cols = draw(audits(undeclared=False))
-    amounts = draw(st.lists(st.integers(0, 50), min_size=d.size, max_size=d.size))
-    d = d.with_columns([Column("amount", INTEGER, tuple(amounts))])
-    scores = draw(st.lists(st.integers(0, 4), min_size=d.size, max_size=d.size))
+
+    def column(elements):
+        return tuple(draw(st.lists(elements, min_size=d.size, max_size=d.size)))
+
+    amounts = column(st.floats(0, 1e4) | st.integers(0, 50).map(float) | st.just(-0.0))
+    d = d.with_columns([Column("amount", DERIVED, amounts)])
+    rev_cfg = RevenueConfig(amount_column="amount")
+    if draw(st.booleans()):
+        d = d.with_columns([Column("rate", DERIVED, column(st.floats(0, 1)))])
+        rev_cfg = RevenueConfig(amount_column="amount", interest_rate_column="rate")
+    scores = column(st.integers(0, 4))
     lowest = draw(st.integers(-4, 5))
     grid = sorted(draw(st.sets(st.integers(lowest, lowest + 3), min_size=1, max_size=4)))
-    return d, spec, cols, scores, grid
+    return d, spec, cols, scores, grid, rev_cfg
 
 
 @st.composite
@@ -208,11 +219,30 @@ class TestSweepAgainstPerThresholdBatteries:
     @given(sweeps(), st.integers(1, 2), st.sampled_from(dv.AGGREGATIONS),
            st.sampled_from((0, 1, 3, 10)))
     def test_every_row_equal(self, case, depth, aggregation, min_support):
-        d, spec, cols, scores, grid = case
+        d, spec, cols, scores, grid, rev_cfg = case
         args = (d, scores, grid, [spec], cols,
                 DetectionConfig(depth=depth, aggregation=aggregation, min_support=min_support),
-                MODES, RevenueConfig(amount_column="amount"))
-        assert _outcome(sweep, *args) == _outcome(oracle.sweep, *args)
+                MODES, rev_cfg)
+        # repr tells every float's bits apart, -0.0 from 0.0 too
+        assert repr(_outcome(sweep, *args)) == repr(_outcome(oracle.sweep, *args))
+
+    @pytest.mark.parametrize("amounts", [
+        # 2**53 + 1.0 rounds back to 2**53, so added in row order the ones
+        # vanish; a pairwise sum adds them up first and keeps some of them
+        (2.0 ** 53,) + (1.0,) * 17,
+        # added from Python's start of 0, -0.0s total 0.0
+        (-0.0,) * 18,
+    ])
+    def test_sums_in_row_order(self, amounts):
+        n = len(amounts)
+        d = Dataset(columns=(Column("x", CATEGORICAL, ("a", "b") * (n // 2)),
+                             Column("s", DERIVED, ("c0", "c1") * (n // 2)),
+                             Column("amount", DERIVED, amounts),
+                             Column("outcome", CATEGORICAL, (GOOD,) * (n - 1) + (BAD,))),
+                    outcome="outcome")
+        args = (d, [1] * n, [0], [SensitiveSpec("s", "s", ("c0", "c1"))], ["x"],
+                DetectionConfig(), MODES, RevenueConfig(interest_rate=1.0, amount_column="amount"))
+        assert repr(sweep(*args)) == repr(oracle.sweep(*args))
 
     def test_scores_past_int64(self):
         # 2**62 and 2**62 + 1 are one float64: a float level would accept the

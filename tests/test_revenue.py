@@ -1,8 +1,21 @@
+import builtins
+import math
+
 import pytest
 
 from fairaudit import revenue as rv
 from fairaudit.detection import DetectionConfig
-from fairaudit.tabular import BAD, GOOD, FOREIGN, GENDER, Column
+from fairaudit.tabular import (
+    BAD,
+    CATEGORICAL,
+    DERIVED,
+    FOREIGN,
+    GENDER,
+    GOOD,
+    Column,
+    Dataset,
+    SensitiveSpec,
+)
 
 FEATURES = [GENDER, FOREIGN]
 NONSENS = ["Attribute1", "Attribute14"]
@@ -14,15 +27,44 @@ def coarse_sweep(german, scores):
     return rv.sweep(german, scores, range(300, 801, 50), FEATURES, NONSENS, CFG)
 
 
+def small_row(amounts, outcomes, scores=None, **revenue) -> rv.SweepRow:
+    """The sweep row at threshold 1 of a small dataset with an `amount`
+    column: every row is accepted unless `scores` gives it 0."""
+    n = len(amounts)
+    d = Dataset(columns=(Column("x", CATEGORICAL, ("a",) * n),
+                         Column("s", DERIVED, ("c0", "c1") * (n // 2) + ("c0",) * (n % 2)),
+                         Column("amount", DERIVED, tuple(amounts)),
+                         Column("outcome", CATEGORICAL, tuple(outcomes))),
+                outcome="outcome")
+    [row] = rv.sweep(d, [1] * n if scores is None else scores, [1],
+                     [SensitiveSpec("s", "s", ("c0", "c1"))], ["x"], CFG,
+                     rev_cfg=rv.RevenueConfig(amount_column="amount", **revenue))
+    return row
+
+
+def compensated_sum(values, start=0):
+    """`sum` as Python 3.12 computes it: floats with Neumaier's
+    compensation, ints exactly."""
+    values = list(values)
+    if all(isinstance(v, int) for v in values):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
 class TestBadRate:
     def test_basic(self):
-        assert rv.bad_rate([BAD] * 3 + [GOOD] * 7) == 0.3
-
-    def test_empty_is_zero(self):
-        assert rv.bad_rate([]) == 0.0
-
-    def test_dataset_rate_below_all_scores(self, german):
-        assert rv.bad_rate(german.column("outcome").values) == 0.3
+        # among the accepted rows only: the two rejected rows are bad too
+        row = small_row([1.0] * 12, [BAD] * 3 + [GOOD] * 7 + [BAD] * 2, scores=[1] * 10 + [0] * 2)
+        assert row.accepted_count == 10
+        assert row.bad_rate == 0.3
 
 
 class TestProvisions:
@@ -37,21 +79,25 @@ class TestProvisions:
         assert rv.provisions(100_000, 0.3, 0.0) == 0.0
 
     def test_decreasing_profit_in_provision_factor(self):
-        amounts, rates = [1000.0, 2000.0], [0.05, 0.05]
-        profits = [rv.profit(amounts, rates, rv.provisions(3000.0, 0.5, f))
+        profits = [small_row([1000.0, 2000.0, 3000.0], [GOOD, GOOD, BAD],
+                             provision_factor=f).profit
                    for f in (0.0, 0.1, 0.2, 0.5, 1.0)]
         assert all(b < a for a, b in zip(profits, profits[1:]))
 
 
 class TestProfit:
     def test_single_row(self):
-        assert rv.profit([1000.0], [0.05], 0.0) == 50.0
+        row = small_row([1000.0, 500.0, 700.0], [GOOD, BAD, GOOD], scores=[1, 0, 0])
+        assert (row.accepted_count, row.provisions, row.profit) == (1, 0.0, 50.0)
 
     def test_all_defaulted(self):
-        assert rv.profit([], [], 123.0) == -123.0
+        row = small_row([1000.0, 2000.0], [BAD, BAD])
+        assert row.provisions == 3000.0 * 1.0 * 0.2
+        assert row.profit == -row.provisions
 
     def test_negative_allowed(self):
-        assert rv.profit([100.0], [0.05], 1000.0) < 0
+        row = small_row([100.0, 1000.0], [GOOD, BAD])
+        assert row.profit == 100.0 * 0.05 - 1100.0 * 0.5 * 0.2 < 0
 
 
 class TestWithPredictions:
@@ -147,3 +193,11 @@ class TestSweep:
         per_row = rv.sweep(with_col, scores, [600], FEATURES, NONSENS, CFG,
                            rev_cfg=rv.RevenueConfig(interest_rate_column="rate"))
         assert per_row[0].profit == flat[0].profit
+
+    def test_bits_independent_of_builtin_sum(self, german, scores, monkeypatch):
+        # Python 3.12 made `sum` of floats compensated; the sweep must not use it
+        grid = rv.RevenueConfig().thresholds.values()
+        want = rv.sweep(german, scores, grid, FEATURES, NONSENS, CFG)
+        monkeypatch.setattr(rv, "sum", compensated_sum, raising=False)
+        got = rv.sweep(german, scores, grid, FEATURES, NONSENS, CFG)
+        assert list(map(repr, got)) == list(map(repr, want))
