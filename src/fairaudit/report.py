@@ -40,14 +40,18 @@ def load_schema(name: str) -> dict:
 
 # --- schema predicates -------------------------------------------------------
 
+# The exact types int and float come first: the `numbers.Number` ABC check
+# costs several times more, and they are nearly all a report holds.
 def _is_number(x) -> bool:
-    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+    return (type(x) is float or type(x) is int
+            or isinstance(x, numbers.Number) and not isinstance(x, bool))
 
 
 _TYPE_CHECKS = {  # the Draft 2020-12 type checker
     "array": lambda x: isinstance(x, list),
     "boolean": lambda x: isinstance(x, bool),
-    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+    "integer": lambda x: (type(x) is int
+                          or isinstance(x, int) and not isinstance(x, bool)
                           or isinstance(x, float) and x.is_integer()),
     "null": lambda x: x is None,
     "number": _is_number,

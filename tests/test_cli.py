@@ -191,6 +191,28 @@ class TestSweepCommand:
             rows[column] = read_json(out / "sweep.json")["rows"]
         assert rows["prediction"] == rows["other"]
 
+    def test_schema_failure_writes_nothing(self, tmp_path, german_path, outputs,
+                                           monkeypatch):
+        validate = report.validate
+
+        def reject_sweep(doc, schema_name):
+            if schema_name == "sweep":
+                raise jsonschema.ValidationError("rejected")
+            validate(doc, schema_name)
+
+        monkeypatch.setattr(report, "validate", reject_sweep)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "version": 1,
+            "revenue": {"thresholds": {"start": 500, "stop": 700, "step": 100}},
+        }))
+        out = tmp_path / "sweep"
+        with pytest.raises(jsonschema.ValidationError):
+            run("sweep", "--config", str(cfg_path), "--dataset", german_path,
+                "--scores", os.path.join(outputs, "scores.csv"), "--out", str(out))
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "sweep.json").exists()
+
     def test_empty_grid_exit_2(self, tmp_path, german_path, outputs, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -586,8 +608,9 @@ COUNTING_MODULES = ("numpy", "jsonschema", "fairaudit.tabular", "fairaudit.score
 
 class TestStartup:
     @staticmethod
-    def _fresh(program, *argv):
-        """Run `program` in a fresh interpreter that checks `loaded(<when>)`."""
+    def _fresh(program, *argv, **env_vars):
+        """Run `program` in a fresh interpreter that checks `loaded(<when>)`,
+        with `env_vars` set in its environment (removed where None)."""
         header = ("import sys\n"
                   "def loaded(when):\n"
                   f"    found = sorted(sys.modules.keys() & set({COUNTING_MODULES!r}))\n"
@@ -596,7 +619,8 @@ class TestStartup:
                   "loaded('the import')\n")
         package_root = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]))
+            [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]), **env_vars)
+        env = {name: value for name, value in env.items() if value is not None}
         proc = subprocess.run([sys.executable, "-c", header + program, *argv],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -616,6 +640,21 @@ class TestStartup:
                            "    assert exc.code == 0\n"
                            "loaded('--help')\n")
         assert proc.stdout.startswith("usage: fairaudit")
+
+    # OpenBLAS starts one thread per further CPU that the process may run on
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc and two CPUs")
+    @pytest.mark.parametrize("openblas_threads, threads", [(None, 1), ("2", 2)])
+    def test_counting_command_blas_threads(self, openblas_threads, threads, german_path,
+                                           tmp_path):
+        # the variables are removed first: an in-process command sets them here
+        proc = self._fresh("import os\n"
+                           "assert fairaudit.cli.main(sys.argv[1:]) == 0\n"
+                           "print(len(os.listdir('/proc/self/task')))\n",
+                           "train", "--dataset", german_path, "--out", str(tmp_path),
+                           OPENBLAS_NUM_THREADS=openblas_threads, OMP_NUM_THREADS=None)
+        assert int(proc.stdout.splitlines()[-1]) == threads
 
 
 class TestReportHelpers:

@@ -14,6 +14,7 @@ import math
 import os
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,8 +31,23 @@ REAL_DOCS = {
 KEYS = sorted({key for name in report.SCHEMA_NAMES
                for key in json.dumps(report.load_schema(name)).split('"')
                if key.isidentifier()})
+
+
+class IntSub(int):
+    pass
+
+
+class FloatSub(float):
+    pass
+
+
+# numbers of other types than int and float take the predicates' slow path
+OTHER_NUMBERS = [np.float64(1.5), np.float64(2.0), np.float64(-1.0), np.float64(math.nan),
+                 np.int64(3), np.bool_(True), IntSub(2), IntSub(-1), FloatSub(0.5),
+                 FloatSub(3.0), FloatSub(math.inf)]
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0, 1, -1, 1.0, 1.5, 2**70, -2**70,
-           True, False, None, "", "group", "model", "js", "max", "class_vs_class"]
+           True, False, None, "", "group", "model", "js", "max", "class_vs_class",
+           *OTHER_NUMBERS]
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                     st.text(max_size=4), st.sampled_from(KEYS), st.sampled_from(SPECIAL))
 VALUES = st.recursive(SCALARS, lambda kids: st.one_of(
@@ -166,6 +182,25 @@ NAMED_CASES = {  # case id -> (schema, edit of the real report, valid afterwards
     "huge_integer": ("sweep", _set(("rows", 0, "threshold"), 2**70), True),
     "huge_negative_below_minimum": ("sweep", _set(("rows", 0, "accepted_count"), -2**70),
                                     False),
+    "false_is_not_an_integer": ("sweep", _set(("rows", 0, "threshold"), False), False),
+    "float64_is_a_number": ("risk_report", _set(("overall",), np.float64(0.25)), True),
+    "float64_below_minimum": ("risk_report", _set(("overall",), np.float64(-0.5)), False),
+    "integral_float64_is_an_integer": ("test_report",
+                                       _set(("dataset_size",), np.float64(1000.0)), True),
+    "int64_is_not_an_integer": ("test_report", _set(("dataset_size",), np.int64(1000)),
+                                False),
+    "int64_is_a_number": ("risk_report", _set(("overall",), np.int64(1)), True),
+    "numpy_bool_is_not_a_number": ("risk_report", _set(("overall",), np.bool_(False)), False),
+    "int_subclass_is_an_integer": ("test_report", _set(("dataset_size",), IntSub(1000)),
+                                   True),
+    "int_subclass_is_a_number": ("risk_report", _set(("overall",), IntSub(1)), True),
+    "negative_int_subclass_below_minimum": ("sweep", _set(("rows", 0, "accepted_count"),
+                                                          IntSub(-1)), False),
+    "float_subclass_is_a_number": ("risk_report", _set(("overall",), FloatSub(0.5)), True),
+    "integral_float_subclass_is_an_integer": ("test_report",
+                                              _set(("dataset_size",), FloatSub(1000.0)), True),
+    "fractional_float_subclass_is_not": ("test_report",
+                                         _set(("dataset_size",), FloatSub(999.5)), False),
     "tuple_is_not_an_array": ("risk_report", lambda doc: doc.update(
         hazards=tuple(doc["hazards"])), False),
     "tuple_of_strings": ("test_report", lambda doc: doc.update(
