@@ -99,7 +99,8 @@ def _config_from_args(args) -> AuditConfig:
 
 
 # --- commands ----------------------------------------------------------------
-# Each command imports its engine, so `compare` and `--help` load no numpy.
+# Each command imports its engine, so that only `train` and `sweep` load
+# numpy; `audit`, `compare` and `--help` do not.
 
 def _import_numpy():
     """Load numpy with OpenBLAS and OpenMP on one thread, unless the user
@@ -111,10 +112,18 @@ def _import_numpy():
     With one thread, loading numpy here or deeper in the engine's import
     chain starts a command equally fast (CPython 3.11, numpy 2.4, 20
     alternating pairs: `train` 244 against 241 ms, `sweep` 211 against 218
-    ms)."""
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    import numpy  # noqa: F401
+    ms).  OpenBLAS reads the variables only when it loads, so the ones set
+    here are removed again afterwards: a caller that runs a command in
+    process keeps its environment, and so do its later subprocesses."""
+    added = [name for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+             if name not in os.environ]
+    for name in added:
+        os.environ[name] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        for name in added:
+            del os.environ[name]
 
 
 def cmd_train(args) -> int:
@@ -145,13 +154,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    _import_numpy()
-    from . import revenue as rv
     cfg = _config_from_args(args)
     d = _audited_dataset(cfg)
     features = _resolve_features(d, cfg)
 
     if args.target == MODEL:
+        from . import revenue as rv
         scores = _read_scores(args.scores, d)
         try:  # a dataset column of the classifications' name is an input error
             d = rv.with_predictions(d, scores, cfg.scorecard.score_threshold)

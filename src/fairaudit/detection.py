@@ -5,17 +5,18 @@ distributions of the sensitive classes pairwise (Jensen-Shannon,
 aggregated); the double-check lines redo that comparison inside every
 observed subclass obtained by fixing non-sensitive feature values.  Every
 class of every subclass is counted, under any number of labellings (the
-data's outcome, or each sweep threshold), from one bincount per
-combination of those features.  Degenerate cases (empty classes, starved
-subclasses) become warnings on skipped lines, never crashes.
+data's outcome, or each sweep threshold), from one count of the
+battery's distinct rows (conditioning codes, class and level), summed per
+combination of those features in plain Python.  Degenerate cases (empty
+classes, starved subclasses) become warnings on skipped lines, never
+crashes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .config import DetectionConfig
 from .tabular import (
@@ -23,7 +24,6 @@ from .tabular import (
     GOOD,
     Dataset,
     SensitiveSpec,
-    group_rows,
     label_distribution,
     outcome_levels,
     partition,
@@ -81,8 +81,8 @@ def compare_classes(dists, cfg: DetectionConfig) -> dv.DivergenceValue:
 
 def _distributions(counts) -> list[dv.ProbabilityDistribution]:
     """The (bad, good) distribution of a class under each labelling, from
-    its row count and good counts (`counts`, a row of `label_distribution`);
-    equal counts share one object."""
+    its row count and good counts (`counts`, one class's list from
+    `label_distribution`); equal counts share one object."""
     total, dists, last = counts[0], [], None
     for good in counts[1:]:
         if good != last:
@@ -95,7 +95,7 @@ def _distributions(counts) -> list[dv.ProbabilityDistribution]:
 def _lines(feature: SensitiveSpec, conditions, counts, min_support: int, dataset_size: int,
            cfg: DetectionConfig) -> list[TestLine]:
     """The line of one (sub)class under each labelling, from its classes'
-    counts (`counts[i]` is the i-th class's row of `label_distribution`).
+    counts (`counts[i]` is the i-th class's list from `label_distribution`).
 
     A support below `min_support` skips the line; empty classes surface as
     warnings, and fewer than 2 non-empty classes skip it too.  A labelling
@@ -142,24 +142,19 @@ def run_tests(d: Dataset, feature: SensitiveSpec, levels, labellings: int,
     """
     nonsensitive = tuple(nonsensitive)
     # partition first: an undeclared label beats an unknown conditioning column
-    cells = partition(d, feature).cells
+    classes = partition(d, feature).classes
+    encodings = [d.column(col).encoded for col in nonsensitive]
+    # each distinct (*conditioning codes, class, level) row and its row count
+    rows = Counter(zip(*(e.codes for e in encodings), classes, levels))
     k = len(feature.classes)
-    label = np.empty(d.size, dtype=np.intp)  # row -> index of its class
-    for i, rows in enumerate(cells.values()):
-        label[rows] = i
-    columns = [_lines(feature, (), label_distribution(levels, label, k, labellings).tolist(),
+    columns = [_lines(feature, (), label_distribution(rows, (), k, labellings)[()],
                       0, d.size, cfg)]
     for depth in range(1, cfg.depth + 1):
-        for combo in combinations(nonsensitive, depth):
-            # group order is the sorted order of the value tuples
-            encodings = (d.column(col).encoded for col in combo)
-            first_rows, group = group_rows(d.size, ((e.codes, len(e.uniques)) for e in encodings))
-            # one count per (subclass g, class i), as key g * k + i
-            counts = label_distribution(levels, group * k + label, len(first_rows) * k,
-                                        labellings).reshape(len(first_rows), k, -1).tolist()
-            for row, subclass in zip(first_rows.tolist(), counts):
-                conditions = tuple((col, d.column(col).values[row]) for col in combo)
-                columns.append(_lines(feature, conditions, subclass, cfg.min_support,
+        for combo in combinations(range(len(nonsensitive)), depth):
+            for subclass, counts in label_distribution(rows, combo, k, labellings).items():
+                conditions = tuple((nonsensitive[j], encodings[j].uniques[code])
+                                   for j, code in zip(combo, subclass))
+                columns.append(_lines(feature, conditions, counts, cfg.min_support,
                                       d.size, cfg))
     all_skipped = ("every comparison was skipped; see line warnings",)
     return [TestReport(sensitive_feature=feature.name, mode=CLASS_VS_CLASS,

@@ -11,17 +11,17 @@ Each row's level (how many grid thresholds its score reaches) serves
 both sides: the batteries count the model's labellings from it, and
 `tabular.label_distribution` counts the accepted and bad rows at every
 threshold from it.  The credit total and the interest income are summed
-over the accepted rows in row order, so their bits do not depend on the
-Python version.
+over the accepted rows in row order with numpy, which `sweep` imports when
+called, so that the model audit (`with_predictions`) loads no numpy; their
+bits do not depend on the Python version.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import MODES, DetectionConfig, RevenueConfig, SweepGrid  # noqa: F401
 from .detection import run_tests
@@ -53,10 +53,12 @@ def provisions(total_credit_amount: float, br: float, provision_factor: float) -
     return total_credit_amount * br * provision_factor
 
 
-def _row_order_total(x: np.ndarray, accepted: np.ndarray) -> float:
-    """`x` added over the accepted rows in row order from 0.0, as Python's
-    `sum` adds floats up to 3.11 (`np.cumsum` adds in order, `np.sum`
-    pairwise; the leading `0.0 +` turns a total of -0.0 into 0.0)."""
+def _row_order_total(x, accepted) -> float:
+    """`x` (a float array) added over the `accepted` rows (a bool array) in
+    row order from 0.0, as Python's `sum` adds floats up to 3.11
+    (`np.cumsum` adds in order, `np.sum` pairwise; the leading `0.0 +`
+    turns a total of -0.0 into 0.0)."""
+    import numpy as np
     return 0.0 + float(np.cumsum(np.where(accepted, x, 0.0))[-1])
 
 
@@ -106,6 +108,7 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
           modes=MODES,
           rev_cfg: RevenueConfig = RevenueConfig()) -> list[SweepRow]:
     """Profit and fairness-risk trade-off over an ascending threshold grid."""
+    import numpy as np
     thresholds = list(thresholds)
     if not thresholds:
         raise ValueError("threshold grid is empty")
@@ -119,14 +122,17 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
     _, data_risk = run_battery(d, d.outcome, features, nonsensitive, det_cfg, modes)
 
     # accepted at threshold t iff t < level (score >= threshold), in exact ints
-    levels = np.array([bisect_right(thresholds, s) for s in scores], dtype=np.intp)
+    levels = [bisect_right(thresholds, s) for s in scores]
     model = [run_tests(d, f, levels, len(thresholds), nonsensitive, det_cfg) for f in features]
 
     good = outcome_levels(d, d.outcome)
-    # the accepted good (key 0) and bad (key 1) rows at every threshold
-    n_good, n_bad = label_distribution(levels, 1 - good, 2, len(thresholds))[:, 1:].tolist()
+    # the accepted good (class 0) and bad (class 1) rows at every threshold
+    outcomes = Counter(zip([1 - g for g in good], levels))
+    n_good, n_bad = (at_least[1:] for at_least in
+                     label_distribution(outcomes, (), 2, len(thresholds))[()])
     amounts = np.array(amounts)
-    income = np.where(good == 1, amounts * np.array(rates), 0.0)
+    income = np.where(np.array(good) == 1, amounts * np.array(rates), 0.0)
+    levels = np.array(levels)
 
     rows = []
     for t, threshold in enumerate(thresholds):

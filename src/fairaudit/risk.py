@@ -6,10 +6,17 @@ where q is the involved population share and w the group/individual
 weight; skipped and non-violated lines contribute zero.  A test's hazard
 is the sum of its line contributions and the overall risk is the mean of
 the hazards in the battery.
+
+The cube roots are correctly rounded and the sums add in order from 0.0,
+in plain Python, so that a hazard has the same bits on every host and
+Python version (numpy's `cbrt` depends on the CPU's vector loops, and
+Python 3.12 made `sum` of floats compensated).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from .config import GROUP, INDIVIDUAL, MODES
@@ -70,9 +77,64 @@ def line_weight(k: int, total: int, mode: str) -> float:
     raise ValueError(f"unknown fairness mode {mode!r}")
 
 
+def _exceeds_midpoint_cube(x: float, a: float, b: float) -> bool:
+    """Whether `x` exceeds the cube of the midpoint of the positive floats
+    `a` and `b`, compared exactly on integers."""
+    xn, xd = x.as_integer_ratio()
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    # midpoint = (an * bd + bn * ad) / (2 * ad * bd); every denominator is a power of two
+    return xn * (2 * ad * bd) ** 3 > (an * bd + bn * ad) ** 3 * xd
+
+
+def cbrt(x: float) -> float:
+    """The cube root of a finite `x >= 0`, correctly rounded to the nearest
+    float.  Zeros are their own cube roots and stay out of the cache, which
+    would not tell 0.0 from -0.0."""
+    return x if x == 0.0 else _positive_cbrt(x)
+
+
+@functools.lru_cache(maxsize=4096)
+def _positive_cbrt(x: float) -> float:
+    """The correctly rounded cube root of a positive finite `x`.
+
+    With `x = m * 2**(3k)` and `m` in [1/2, 4), the start `m ** (1/3) *
+    2**k` is within about an ulp (scaling by powers of two is exact, and
+    `** (1/3)` of a small `m` is close).  It then moves to a neighbour
+    while `x` lies beyond the cube of the midpoint between the two; no cube
+    of a midpoint is a float, so there are no ties.  A battery's lines
+    share few thresholds, so results are cached.
+    """
+    m, e = math.frexp(x)  # x = m * 2**e with m in [1/2, 1)
+    k, r = divmod(e, 3)
+    y = math.ldexp(math.ldexp(m, r) ** (1.0 / 3.0), k)
+    while _exceeds_midpoint_cube(x, y, up := math.nextafter(y, math.inf)):
+        y = up
+    while not _exceeds_midpoint_cube(x, down := math.nextafter(y, 0.0), y):
+        y = down
+    return y
+
+
+@functools.lru_cache(maxsize=4096)
+def _severity(q: float, epsilon: float, excess: float) -> float:
+    """A violated line's contribution before its mode weight, `q *
+    cbrt(epsilon) * cbrt(excess)`.  Lines repeat across a sweep's
+    labellings and the two fairness modes, so results are cached; the
+    arguments are never -0.0, which the cache would not tell from 0.0."""
+    return q * cbrt(epsilon) * cbrt(excess)
+
+
+def _in_order_sum(values) -> float:
+    """The floats added one by one in order from 0.0, as Python's `sum`
+    adds them up to 3.11, on every Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def hazard(report, mode: str) -> HazardValue:
     """Aggregate one `detection.TestReport` into its hazard value."""
-    import numpy as np
     total = len(report.conditioning_columns)
     contributions = []
     for line in report.lines:
@@ -82,9 +144,9 @@ def hazard(report, mode: str) -> HazardValue:
         q = line.union_count / report.dataset_size
         excess = abs(line.divergence.value - line.epsilon)
         w = line_weight(len(line.conditions), total, mode)
-        contributions.append(q * float(np.cbrt(line.epsilon)) * float(np.cbrt(excess)) * w)
+        contributions.append(_severity(q, line.epsilon, excess) * w)
     return HazardValue(test=report.sensitive_feature, mode=mode,
-                       value=sum(contributions),
+                       value=_in_order_sum(contributions),
                        line_contributions=tuple(contributions))
 
 
@@ -94,7 +156,7 @@ def overall_risk(hazards) -> RiskReport:
     if not hazards:
         raise ValueError("cannot aggregate an empty hazard battery")
     return RiskReport(hazards=hazards,
-                      overall=sum(h.value for h in hazards) / len(hazards))
+                      overall=_in_order_sum(h.value for h in hazards) / len(hazards))
 
 
 def battery_risk(reports, modes=MODES) -> RiskReport:

@@ -19,6 +19,10 @@ values once and index the result by the rows' codes.  Scoring looks each
 column's bins up in that column's row of `Scorecard.points` and adds the
 columns in order.
 
+The functions that compute import numpy when called, so that loading the
+module (for `classify`, which the model audit reaches through `revenue`)
+loads no numpy.
+
 Score points per column follow
     points = -(coef * woe + intercept / K) * pdo / ln 2 + base_score / K
 so a row whose bins all carry zero WOE scores round(base_score) when the
@@ -31,13 +35,50 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import BinningConfig, ScorecardConfig, ScoreScaling
-from .tabular import BAD, GOOD, CATEGORICAL, DERIVED, INTEGER, Dataset, group_rows
+from .tabular import BAD, GOOD, CATEGORICAL, DERIVED, INTEGER, Dataset
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NUMERIC = "numeric"
+
+
+def _codes(encoding) -> np.ndarray:
+    """A column's codes (`tabular.Encoding.codes`) as an array: a uint8 view
+    of codes held as bytes, with no copy, or else an int64 copy."""
+    import numpy as np
+    codes = encoding.codes
+    if isinstance(codes, bytes):
+        return np.frombuffer(codes, dtype=np.uint8)
+    return np.fromiter(codes, dtype=np.int64, count=len(codes))
+
+
+def group_rows(size: int, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Group `size` rows by their joint code over several columns.
+
+    `keys` yields one `(codes, n_codes)` pair per column, with every code
+    in `[0, n_codes)` and `size * n_codes` within int64.  The codes are
+    folded into one mixed-radix int64 key per row, which orders rows as
+    their code tuples order; the key is re-ranked (which keeps that order)
+    only when the next fold could pass int64, and once at the end.
+    Returns `(first_rows, group)`: `group[i]` is the rank of row i's code
+    tuple among the distinct tuples in sorted order, and `first_rows[g]`
+    is the first row of group g.
+    """
+    import numpy as np
+    key = np.zeros(size, dtype=np.int64)
+    radix = 1  # every key lies in [0, radix)
+    for codes, n_codes in keys:
+        if radix * n_codes > 2 ** 63:  # the largest key would pass int64
+            ranks, key = np.unique(key, return_inverse=True)
+            radix = len(ranks)
+        key = key * n_codes + codes
+        radix *= n_codes
+    _, first_rows, group = np.unique(key, return_index=True, return_inverse=True)
+    return first_rows, group
 
 
 @dataclass(frozen=True)
@@ -78,6 +119,7 @@ class BinningSpec:
 
     def assign(self, values) -> np.ndarray:
         """The bin index of every value, in order."""
+        import numpy as np
         if self.kind == NUMERIC:
             return np.searchsorted(self.edges, np.asarray(values, dtype=float), side="right")
         group_of = {code: i for i, group in enumerate(self.groups) for code in group}
@@ -116,6 +158,7 @@ class Scorecard:
 
     def score_dataset(self, d: Dataset) -> list[int]:
         """Deterministic integer score of every row."""
+        import numpy as np
         columns = [d.column(b.column) for b in self.binnings]
         total = np.zeros(d.size)
         # column by column, in order, like a per-row sum: np.sum's pairwise
@@ -128,7 +171,7 @@ class Scorecard:
                 # report the first row's unseen value, not the smallest one
                 b.assign(col.values)
                 raise
-            total += np.array(points)[value_bins[enc.codes]]
+            total += np.array(points)[value_bins[_codes(enc)]]
         return [round(t) for t in total.tolist()]
 
 
@@ -175,6 +218,7 @@ def fit_bins(column: str, kind: str, uniques, goods, bads,
              config: BinningConfig = BinningConfig()) -> BinningSpec:
     """Fit the binning of one column from its count table: the sorted
     distinct values `uniques` and the good and bad row count of each."""
+    import numpy as np
     goods = np.asarray(goods, dtype=np.int64)
     bads = np.asarray(bads, dtype=np.int64)
     if not len(uniques) == len(goods) == len(bads):
@@ -189,11 +233,13 @@ def fit_bins(column: str, kind: str, uniques, goods, bads,
 
 def _sum_by_bin(bins, n_bins: int, goods, bads) -> tuple[list[int], list[int]]:
     """Good and bad counts per bin, given the bin of each distinct value."""
+    import numpy as np
     return tuple(np.bincount(bins, weights=counts, minlength=n_bins).astype(np.int64).tolist()
                  for counts in (goods, bads))
 
 
 def _fit_numeric(column, uniques, value_goods, value_bads, config) -> BinningSpec:
+    import numpy as np
     floats = np.asarray(uniques, dtype=float)  # sorted, so non-decreasing
     lo = float(floats[0])
     if lo == floats[-1]:  # constant column: single bin, WOE 0, IV 0
@@ -268,11 +314,13 @@ def _fit_categorical(column, uniques, goods, bads, config) -> BinningSpec:
 # --- training ---------------------------------------------------------------
 
 def _sigmoid(z):
+    import numpy as np
     return 1.0 / (1.0 + np.exp(-z))
 
 
 def fit_scorecard(d: Dataset, config: ScorecardConfig = ScorecardConfig()) -> Scorecard:
     """Fit bins and a deterministic logistic scorecard on a labelled dataset."""
+    import numpy as np
     if config.columns is None:
         columns = [c.name for c in d.columns
                    if c.name != d.outcome and c.kind != DERIVED]
@@ -282,28 +330,29 @@ def fit_scorecard(d: Dataset, config: ScorecardConfig = ScorecardConfig()) -> Sc
         raise ValueError("no usable columns to fit on")
 
     outcome = d.column(d.outcome).encoded
-    y_bad = outcome.codes == outcome.index.get(BAD, -1)
+    y_bad = _codes(outcome) == outcome.index.get(BAD, -1)
     y_good = ~y_bad
-    binnings, encodings = [], []
+    binnings, row_bins = [], []
     for name in columns:
         col = d.column(name)
         enc = col.encoded
+        codes = _codes(enc)
         kind = NUMERIC if col.kind == INTEGER else CATEGORICAL
         n_values = len(enc.uniques)
-        binnings.append(fit_bins(name, kind, enc.uniques,
-                                 np.bincount(enc.codes[y_good], minlength=n_values),
-                                 np.bincount(enc.codes[y_bad], minlength=n_values),
-                                 config.binning))
-        encodings.append(enc)
-    # each distinct value is binned once; row i's bin is value_bins[codes[i]]
-    value_bins = [b.assign(enc.uniques) for b, enc in zip(binnings, encodings)]
+        b = fit_bins(name, kind, enc.uniques,
+                     np.bincount(codes[y_good], minlength=n_values),
+                     np.bincount(codes[y_bad], minlength=n_values),
+                     config.binning)
+        binnings.append(b)
+        # each distinct value is binned once and the rows take their value's
+        # bin, in the smallest integer type that holds every bin index
+        row_bins.append(b.assign(enc.uniques)[codes].astype(np.min_scalar_type(b.n_bins)))
 
     # One row of WOEs per distinct bin combination, weighted by its row count
     # and bad count: the gradient and loss sums of a per-row fit, grouped.
-    first_rows, group = group_rows(d.size, ((vb[enc.codes], b.n_bins) for b, enc, vb
-                                            in zip(binnings, encodings, value_bins)))
-    woe_matrix = np.column_stack([np.array(b.woes)[vb[enc.codes[first_rows]]] for b, enc, vb
-                                  in zip(binnings, encodings, value_bins)])
+    first_rows, group = group_rows(d.size, ((rb, b.n_bins) for b, rb in zip(binnings, row_bins)))
+    woe_matrix = np.column_stack([np.array(b.woes)[rb[first_rows]]
+                                  for b, rb in zip(binnings, row_bins)])
     count = np.bincount(group).astype(float)
     bad = np.bincount(group, weights=y_bad)
 
@@ -336,6 +385,7 @@ def classify(scores, threshold: int) -> list[str]:
 
 def evaluate(scores, labels, threshold: int) -> ScoreMetrics:
     """ROC over all distinct score cutoffs, trapezoidal AUC, Gini = 2*AUC - 1."""
+    import numpy as np
     scores = np.asarray(list(scores))
     good = np.array([l == GOOD for l in labels], dtype=bool)
     if len(scores) != len(good):

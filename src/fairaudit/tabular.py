@@ -12,10 +12,11 @@ of the built-in sensitive features.  The converted blocks are joined into
 whole columns one column at a time.  Datasets are immutable after
 load; "mutating" helpers return new Dataset objects sharing column data.
 Each column encodes itself once, on first use, as integer codes over its
-sorted distinct values; partitions and label counts are numpy operations
-over those codes: `partition` splits every row by sensitive class,
-`group_rows` numbers the subclasses, and `label_distribution` counts the
-rows of every (subclass, class) key under every labelling in one bincount.
+sorted distinct values.  Partitions and label counts are plain Python
+over those codes, so that an audit loads no numpy: `partition` gives
+every row its sensitive class, and `label_distribution` counts the rows
+of every (subclass, class) cell under every labelling from the distinct
+rows of a battery, each with its row count.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ import functools
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 from typing import NamedTuple
-
-import numpy as np
 
 # re-exported for callers that build distributions from these counts
 from .divergence import EmptyClassError, ProbabilityDistribution  # noqa: F401
@@ -47,11 +47,15 @@ class ParseError(ValueError):
 
 class Encoding(NamedTuple):
     """A column as integer codes: `codes[i]` is the rank of row i's value
-    among the sorted distinct values `uniques`; `index` maps value -> code."""
+    among the sorted distinct values `uniques`; `index` maps value -> code.
+
+    `codes` is `bytes` when every code fits a byte (at most 256 distinct
+    values), which takes an eighth of a tuple's memory and which numpy
+    views without a copy, and a tuple otherwise; both give ints."""
 
     uniques: tuple
     index: dict
-    codes: np.ndarray
+    codes: bytes | tuple
 
 
 @dataclass(frozen=True)
@@ -66,37 +70,10 @@ class Column:
 
     @functools.cached_property
     def encoded(self) -> Encoding:
-        # sorted(set()) rather than np.unique: a numpy string array drops
-        # trailing NULs and would merge distinct values.
         uniques = tuple(sorted(set(self.values)))
         index = {v: i for i, v in enumerate(uniques)}
-        codes = np.fromiter(map(index.__getitem__, self.values), dtype=np.int64,
-                            count=len(self.values))
-        return Encoding(uniques, index, codes)
-
-
-def group_rows(size: int, keys) -> tuple[np.ndarray, np.ndarray]:
-    """Group `size` rows by their joint code over several columns.
-
-    `keys` yields one `(codes, n_codes)` pair per column, with every code
-    in `[0, n_codes)` and `size * n_codes` within int64.  The codes are
-    folded into one mixed-radix int64 key per row, which orders rows as
-    their code tuples order; the key is re-ranked (which keeps that order)
-    only when the next fold could pass int64, and once at the end.
-    Returns `(first_rows, group)`: `group[i]` is the rank of row i's code
-    tuple among the distinct tuples in sorted order, and `first_rows[g]`
-    is the first row of group g.
-    """
-    key = np.zeros(size, dtype=np.int64)
-    radix = 1  # every key lies in [0, radix)
-    for codes, n_codes in keys:
-        if radix * n_codes > 2 ** 63:  # the largest key would pass int64
-            ranks, key = np.unique(key, return_inverse=True)
-            radix = len(ranks)
-        key = key * n_codes + codes
-        radix *= n_codes
-    _, first_rows, group = np.unique(key, return_index=True, return_inverse=True)
-    return first_rows, group
+        codes = map(index.__getitem__, self.values)
+        return Encoding(uniques, index, bytes(codes) if len(uniques) <= 256 else tuple(codes))
 
 
 @dataclass(frozen=True)
@@ -167,15 +144,13 @@ class SensitiveSpec:
 
 @dataclass(frozen=True)
 class FeaturePartition:
-    """The cells induced by a sensitive feature over every row.
-
-    Cells are pairwise disjoint and their union is every row.  Empty cells
-    are kept (they are flagged with warnings downstream, never silently
-    dropped).
-    """
+    """Every row's sensitive class: `classes[r]` is the index, in
+    `feature.classes`, of row r's class.  A declared class that no row
+    holds is still compared as empty (flagged with warnings downstream,
+    never silently dropped)."""
 
     feature: SensitiveSpec
-    cells: dict  # class label -> ascending np.intp array of row indices
+    classes: tuple[int, ...]
 
 
 # --- German Credit loader -------------------------------------------------
@@ -454,37 +429,50 @@ def sensitive_spec_for(d: Dataset, name: str) -> SensitiveSpec:
 # --- Partitions and distributions ------------------------------------------
 
 def partition(d: Dataset, feature: SensitiveSpec) -> FeaturePartition:
-    """Partition every row by sensitive class; a label outside the declared
+    """Give every row its sensitive class; a label outside the declared
     classes raises, the first in row order."""
     if not d.has_column(feature.column):
         raise ValueError(f"sensitive column {feature.column!r} not in dataset")
     _check_declared(d, feature)
-    labels = d.column(feature.column).encoded
-    # codes are never negative, so an absent class gets an empty cell
-    cells = {c: np.flatnonzero(labels.codes == labels.index.get(c, -1))
-             for c in feature.classes}
-    return FeaturePartition(feature=feature, cells=cells)
+    index = {c: i for i, c in enumerate(feature.classes)}
+    return FeaturePartition(feature, tuple(map(index.__getitem__,
+                                               d.column(feature.column).values)))
 
 
-def outcome_levels(d: Dataset, outcome: str) -> np.ndarray:
+def outcome_levels(d: Dataset, outcome: str) -> tuple[int, ...]:
     """A good/bad column as the levels of one labelling: 1 good, 0 bad."""
-    enc = d.column(outcome).encoded
-    if not set(enc.uniques) <= {GOOD, BAD}:
+    column = d.column(outcome)
+    if not set(column.encoded.uniques) <= {GOOD, BAD}:
         raise ValueError(f"outcome column {outcome!r} holds values outside {{good, bad}}")
-    return (enc.codes == enc.index.get(GOOD, -1)).astype(np.intp)
+    return tuple(map({BAD: 0, GOOD: 1}.__getitem__, column.values))
 
 
-def label_distribution(levels: np.ndarray, key: np.ndarray, n_keys: int,
-                       labellings: int) -> np.ndarray:
-    """Count the rows of every key under each labelling i < `labellings`,
-    where row r is good iff `i < levels[r]`.
+def label_distribution(rows: dict, columns, n_classes: int, labellings: int) -> dict:
+    """Count the rows of every (subclass, class) cell under each labelling
+    i < `labellings`, where a row is good iff `i < level`.
 
-    Requires `0 <= key < n_keys` and `0 <= levels <= labellings`.  Returns
-    the int array `at_least` of shape `(n_keys, labellings + 1)`:
-    `at_least[g, 0]` is key g's row count and `at_least[g, i + 1]` its rows
-    good under labelling i.  One bincount over (key, level) pairs and a
-    reversed cumulative sum along the levels; a key with no rows counts 0.
+    `rows` maps each distinct row `(*codes, class, level)` to how many rows
+    it stands for, as a `Counter` over the zipped per-row values does;
+    `columns` are the positions of the codes that fix a subclass.  Requires
+    `0 <= class < n_classes` and `0 <= level <= labellings`.  Returns, for
+    every subclass (its codes at `columns`) in sorted order, one list per
+    class, `at_least`: `at_least[0]` is the class's rows in the subclass and
+    `at_least[i + 1]` its rows good under labelling i, 0 for a class with
+    no rows.  The cells are summed over the distinct rows only, then each
+    cell's rows per level are summed from the highest level down.
     """
     width = labellings + 1
-    counts = np.bincount(key * width + levels, minlength=n_keys * width)
-    return np.cumsum(counts.reshape(n_keys, width)[:, ::-1], axis=1)[:, ::-1]
+    pick = itemgetter(*columns, -2, -1)  # (*subclass, class, level)
+    cells = {}
+    for row, n in rows.items():
+        key = pick(row)
+        cells[key] = cells.get(key, 0) + n
+    per_level = {}  # subclass -> one row count per (class, level)
+    for key, n in cells.items():
+        subclass = key[:-2]
+        counts = per_level.get(subclass)
+        if counts is None:
+            counts = per_level[subclass] = [[0] * width for _ in range(n_classes)]
+        counts[key[-2]][key[-1]] += n
+    return {subclass: [list(accumulate(reversed(c)))[::-1] for c in per_level[subclass]]
+            for subclass in sorted(per_level)}

@@ -1,12 +1,12 @@
-"""Peak RSS of `train`, `audit --target data` and `sweep` on a 100x German
-Credit file.
+"""Peak RSS of `train`, both audits and `sweep` on a 100x German Credit
+file.
 
     python3 tests/peak_rss.py
 
 Writes a seeded 100,000-row resample of data/german.data to a temporary
 directory, runs each command on it as a fresh `python -m fairaudit.cli`
-process (the package from this checkout's src/; `sweep` reads the
-`scores.csv` that `train` wrote) and reads the process's peak RSS from
+process (the package from this checkout's src/; the model audit and
+`sweep` read the `scores.csv` that `train` wrote) and reads the process's peak RSS from
 `os.wait4`.  Prints one line per command and exits 1 when a peak is above
 LIMIT_MIB.  A child's reading can be this process's own RSS when that is
 the larger, but this process stays far below the limit, so a reading above
@@ -56,7 +56,9 @@ def main() -> int:
         data = os.path.join(tmp, "german.data")
         write_resample(data, ROWS, SEED)
         scores = os.path.join(tmp, "scores.csv")
-        for command in (["train"], ["audit", "--target", "data"], ["sweep", "--scores", scores]):
+        for command in (["train"], ["audit", "--target", "data"],
+                        ["audit", "--target", "model", "--scores", scores],
+                        ["sweep", "--scores", scores]):
             peak = peak_rss_mib([*command, "--dataset", data, "--out", tmp], tmp)
             label = " ".join(command).replace(tmp + os.sep, "")
             print(f"{label}: peak RSS {peak:.1f} MiB (limit {LIMIT_MIB:g})")

@@ -4,7 +4,7 @@ scoring cores.
 These are the original per-row versions of: `tabular.partition` under
 optional subclass conditions, the outcome distribution of a row set and
 the subclass enumeration, from which test_counting_oracle.py rebuilds
-every line of `detection.run_test`; `tabular.group_rows`; the threshold
+every line of `detection.run_test`; `scorecard.group_rows`; the threshold
 sweep as one battery and one scan of the accepted rows per threshold,
 with its bad rate and profit; and the Kullback-Leibler and
 Jensen-Shannon kernels over a validated mixture distribution (all in

@@ -641,6 +641,21 @@ class TestStartup:
                            "loaded('--help')\n")
         assert proc.stdout.startswith("usage: fairaudit")
 
+    # the model audit takes `classify` from the scorecard module through
+    # `revenue`; the module itself loads no numpy
+    @pytest.mark.parametrize("target, unloaded", [
+        (cli.DATA, {"numpy", "fairaudit.scorecard", "fairaudit.revenue"}),
+        (cli.MODEL, {"numpy"}),
+    ], ids=[cli.DATA, cli.MODEL])
+    def test_audit_loads_no_numpy(self, target, unloaded, outputs, german_path, tmp_path):
+        argv = ["audit", "--target", target, "--dataset", german_path, "--out", str(tmp_path)]
+        if target == cli.MODEL:
+            argv += ["--scores", os.path.join(outputs, "scores.csv")]
+        self._fresh("assert fairaudit.cli.main(sys.argv[1:]) == 0\n"
+                    f"found = sorted(sys.modules.keys() & {unloaded!r})\n"
+                    "assert not found, f'{found} loaded by the audit'\n", *argv)
+        assert (tmp_path / f"risk_report_{target}.json").exists()
+
     # OpenBLAS starts one thread per further CPU that the process may run on
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
                         or len(os.sched_getaffinity(0)) < 2,
@@ -648,13 +663,27 @@ class TestStartup:
     @pytest.mark.parametrize("openblas_threads, threads", [(None, 1), ("2", 2)])
     def test_counting_command_blas_threads(self, openblas_threads, threads, german_path,
                                            tmp_path):
-        # the variables are removed first: an in-process command sets them here
+        # the variables are removed first, so that the child sees no user setting
         proc = self._fresh("import os\n"
                            "assert fairaudit.cli.main(sys.argv[1:]) == 0\n"
                            "print(len(os.listdir('/proc/self/task')))\n",
                            "train", "--dataset", german_path, "--out", str(tmp_path),
                            OPENBLAS_NUM_THREADS=openblas_threads, OMP_NUM_THREADS=None)
         assert int(proc.stdout.splitlines()[-1]) == threads
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_in_process_command_keeps_environment(self, preset, german_path, tmp_path,
+                                                  monkeypatch):
+        # the thread variables act only while numpy loads; a caller's later
+        # subprocesses must not inherit them
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            if preset is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, preset)
+        before = dict(os.environ)
+        assert cli.main(["train", "--dataset", german_path, "--out", str(tmp_path)]) == 0
+        assert dict(os.environ) == before
 
 
 class TestReportHelpers:

@@ -1,11 +1,13 @@
 """The encoded counting core against the row-scan oracle on small
 generated datasets: same cells, counts and errors, and every line of a
 test (subclass order, support, compared classes, divergence, threshold,
-warnings) rebuilt from per-row scans; the threshold sweep against one
+warnings) rebuilt from per-row scans; the (subclass, class) counts of
+distinct rows against a count of every row; the scorecard's row grouping; the threshold sweep against one
 battery and one row-order sum per threshold, row for row and bit for
 bit; and the divergence kernel against its validated-mixture version,
 bit for bit."""
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +19,7 @@ from fairaudit import divergence as dv
 from fairaudit.config import MODES, RevenueConfig
 from fairaudit.detection import DetectionConfig, run_test
 from fairaudit.revenue import sweep
+from fairaudit.scorecard import group_rows
 from fairaudit.tabular import (
     BAD,
     CATEGORICAL,
@@ -27,7 +30,6 @@ from fairaudit.tabular import (
     Dataset,
     ProbabilityDistribution,
     SensitiveSpec,
-    group_rows,
     label_distribution,
     partition,
 )
@@ -78,16 +80,19 @@ def keyed_rows(draw):
 
 
 @st.composite
-def keyed_levels(draw):
-    """(levels, key, n_keys, labellings): up to 30 rows, each with a level
-    in [0, labellings] and a key in [0, n_keys); often some keys have no
-    rows."""
-    size = draw(st.integers(0, 30))
+def coded_rows(draw):
+    """(rows, columns, n_classes, labellings): up to 30 rows, each of up to
+    three codes, a class in [0, n_classes) and a level in [0, labellings],
+    many of them repeated, and the ascending positions of the codes that
+    fix a subclass; often some classes have no rows."""
+    width = draw(st.integers(0, 3))
     labellings = draw(st.integers(1, 5))
-    n_keys = draw(st.integers(1, size + 3))
-    levels = draw(st.lists(st.integers(0, labellings), min_size=size, max_size=size))
-    key = draw(st.lists(st.integers(0, n_keys - 1), min_size=size, max_size=size))
-    return levels, key, n_keys, labellings
+    n_classes = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(0, 2)] * width, st.integers(0, n_classes - 1),
+                    st.integers(0, labellings))
+    rows = draw(st.lists(row, max_size=30))
+    columns = tuple(sorted(draw(st.sets(st.integers(0, width - 1)))) if width else ())
+    return rows, columns, n_classes, labellings
 
 
 @st.composite
@@ -165,11 +170,9 @@ class TestAgainstRowScan:
             assert got == want == _outcome(run_test, d, spec, "outcome", cols, cfg)
             return
         fp, expected_fp = got[1], want[1]
-        # arrays have no == truth value: compare the cells as tuples
-        assert {c: tuple(r.tolist()) for c, r in fp.cells.items()} == expected_fp.cells
+        assert {c: tuple(r for r, j in enumerate(fp.classes) if j == i)
+                for i, c in enumerate(spec.classes)} == expected_fp.cells
         assert fp.feature == expected_fp.feature
-        for rows in fp.cells.values():
-            assert rows.dtype == np.intp and rows.ndim == 1
 
         lines = run_test(d, spec, "outcome", cols, cfg).lines
         conditions = [()] + oracle.subclass_conditions(d, cols, depth)
@@ -180,17 +183,20 @@ class TestAgainstRowScan:
                  line.violated, line.warnings) for line in lines] == [
             _oracle_line(d, spec, c, floor, cfg) for c, floor in zip(conditions, floors)]
 
-    @given(keyed_levels())
+    @given(coded_rows())
     def test_label_distribution(self, case):
-        levels, key, n_keys, labellings = case
-        at_least = label_distribution(np.array(levels, dtype=np.intp),
-                                      np.array(key, dtype=np.intp), n_keys, labellings)
-        assert at_least.shape == (n_keys, labellings + 1)
-        assert at_least.tolist() == [
-            [sum(1 for k in key if k == g)]
-            + [sum(1 for k, level in zip(key, levels) if k == g and i < level)
-               for i in range(labellings)]
-            for g in range(n_keys)]
+        rows, columns, n_classes, labellings = case
+
+        def subclass(row):
+            return tuple(row[j] for j in columns)
+
+        got = label_distribution(Counter(rows), columns, n_classes, labellings)
+        want = {s: [[sum(1 for r in rows if subclass(r) == s and r[-2] == c)]
+                    + [sum(1 for r in rows if subclass(r) == s and r[-2] == c and i < r[-1])
+                       for i in range(labellings)]
+                    for c in range(n_classes)]
+                for s in sorted(set(map(subclass, rows)))}
+        assert list(got.items()) == list(want.items())  # in sorted subclass order
 
     @given(keyed_rows())
     # mixed-radix keys of up to 2**64 - 1 and of exactly 2**63 - 1

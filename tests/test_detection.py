@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from fairaudit import detection as det
@@ -237,7 +236,7 @@ class TestRunTest:
 
     def test_equal_labellings_share_a_line(self, monkeypatch):
         # no row has level 2, so labellings 1 and 2 count the same good rows
-        levels = np.array([0, 1, 3, 3] * 5, dtype=np.intp)
+        levels = [0, 1, 3, 3] * 5
         calls = []
         compare = det.compare_classes
         monkeypatch.setattr(det, "compare_classes",

@@ -1,8 +1,14 @@
-import numpy as np
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fairaudit import divergence as dv
 from fairaudit import risk
+from fairaudit.config import AuditConfig, DetectionConfig
+from fairaudit.tabular import sensitive_spec_for
+from test_revenue import compensated_sum
 from fairaudit.detection import CLASS_VS_CLASS
 from fairaudit.detection import TestLine as Line
 from fairaudit.detection import TestReport as Report
@@ -62,7 +68,7 @@ class TestHazard:
         # so the addend is the float product 0.5 * 0.1 * 0.1
         report = make_report([make_line(union=500, div=0.002, eps=0.001)])
         h = risk.hazard(report, risk.GROUP)
-        cbrt = float(np.cbrt(0.001))
+        cbrt = risk.cbrt(0.001)
         assert cbrt == 0.1
         assert h.value == 0.5 * cbrt * cbrt * 1.0
         assert abs(h.value - 0.005) < 1e-15
@@ -194,3 +200,59 @@ class TestRunBattery:
                         ("foreign", "group"), ("foreign", "individual")]
         assert rr.overall == pytest.approx(
             sum(h.value for h in rr.hazards) / len(rr.hazards), abs=1e-12)
+
+
+def is_nearest_cube_root(x: float, y: float) -> bool:
+    """Whether `y` is the float nearest the real cube root of `x > 0`: `x`
+    lies strictly between the cubes of the midpoints that `y` shares with
+    its two neighbours, compared as exact rationals (integer ratios)."""
+    below, above = ((Fraction(y) + Fraction(math.nextafter(y, toward))) / 2
+                    for toward in (0.0, math.inf))
+    return below ** 3 < Fraction(x) < above ** 3
+
+
+# inputs of the golden runs on which numpy's cbrt, as seen on one AVX-512
+# host, was one ulp off: the default sweep's, then the depth-3 data audit's
+ONE_ULP_INPUTS = (
+    0.000417628742471466, 0.012591520758896791, 0.01818575668323963,
+    0.0488647559483968, 0.08679221342438823, 0.0944678785283001,
+    0.11466343743197499, 0.12957818174247204,
+    0.02356, 0.02372, 0.023832000000000002, 0.024820000000000002,
+    0.026987160321315512, 0.10525384892915876,
+)
+
+
+class TestCubeRoot:
+    @pytest.mark.parametrize("x, root", [
+        (0.0, 0.0), (-0.0, -0.0), (8.0, 2.0), (27.0, 3.0),
+        (0.001, 0.1),  # the float nearest 0.001 has 0.1 as its nearest cube root
+        (2.0 ** -1074, 2.0 ** -358),  # the smallest subnormal is a perfect cube
+        (2.0 ** 1023, 2.0 ** 341),
+    ])
+    def test_named_values(self, x, root):
+        got = risk.cbrt(x)
+        assert got == root and math.copysign(1.0, got) == math.copysign(1.0, root)
+
+    @pytest.mark.parametrize("x", [5e-324, 2.0 ** -1073, 1e-310, 2.2250738585072014e-308,
+                                   *ONE_ULP_INPUTS])
+    def test_subnormals_and_golden_inputs(self, x):
+        assert is_nearest_cube_root(x, risk.cbrt(x))
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(math.ulp(0.0))
+    @example(1.7976931348623157e308)
+    def test_correctly_rounded(self, x):
+        assert is_nearest_cube_root(x, risk.cbrt(x))
+
+
+class TestInOrderSums:
+    def test_bits_independent_of_builtin_sum(self, german, monkeypatch):
+        # Python 3.12 made `sum` of floats compensated; hazards and the
+        # overall risk must not use it
+        cfg = AuditConfig()
+        features = [sensitive_spec_for(german, name) for name in cfg.sensitive_features]
+        reports, want = risk.run_battery(german, "outcome", features, cfg.conditioning_columns,
+                                         DetectionConfig(depth=2))
+        monkeypatch.setattr(risk, "sum", compensated_sum, raising=False)
+        got = risk.battery_risk(reports)
+        assert repr(got) == repr(want)

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
+from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -140,6 +140,15 @@ class TestDatasetInvariants:
             *(f"Attribute{i}" for i in range(1, 21)), "outcome"]
         assert {len(c.values) for c in german_raw.columns} == {german_raw.size}
 
+    # 256 distinct values still fit a byte; 257 take a tuple
+    @pytest.mark.parametrize("n_values, kind", [(1, bytes), (256, bytes), (257, tuple)])
+    def test_codes_fit_bytes_up_to_256_values(self, n_values, kind):
+        values = tuple(reversed(range(n_values))) * 2
+        enc = Column("a", "integer", values).encoded
+        assert type(enc.codes) is kind
+        assert [enc.uniques[c] for c in enc.codes] == list(values)
+        assert list(enc.codes) == [enc.index[v] for v in values]
+
 
 class TestDeriveSensitive:
     def test_gender_counts(self, german):
@@ -212,9 +221,9 @@ def _scanned(d, feature, rows):
 class TestPartition:
     def test_gender_covers_everything(self, german):
         fp = partition(german, GENDER)
-        assert len(fp.cells["male"]) == 690
-        assert len(fp.cells["female"]) == 310
-        assert sum(len(rows) for rows in fp.cells.values()) == german.size
+        assert fp.classes.count(GENDER.classes.index("male")) == 690
+        assert fp.classes.count(GENDER.classes.index("female")) == 310
+        assert len(fp.classes) == german.size
 
     def test_condition_filters(self, german):
         line = _subclass_line(german, GENDER, "Attribute10", "A103")
@@ -225,12 +234,9 @@ class TestPartition:
 
     def test_age_partition_property(self, german):
         fp = partition(german, AGE_GROUP)
-        cells = list(fp.cells.values())
-        assert sum(len(c) for c in cells) == 1000
-        seen = set()
-        for c in cells:
-            assert not (seen & set(c))
-            seen |= set(c)
+        counts = Counter(fp.classes)
+        assert set(counts) <= set(range(len(AGE_GROUP.classes)))
+        assert sum(counts.values()) == 1000
 
     @pytest.mark.parametrize("feature", [GENDER, AGE_GROUP, FOREIGN])
     @pytest.mark.parametrize("column,value", [
@@ -242,68 +248,70 @@ class TestPartition:
         assert line.union_count == len(matching)
         assert (line.compared, line.divergence) == _scanned(german, feature, matching)
 
-    def test_cells_are_ascending_index_arrays(self, german):
+    def test_rows_carry_their_class_index(self, german):
         fp = partition(german, AGE_GROUP)
-        d = Dataset(columns=(Column("s", "categorical", ("a", "a")),
+        assert [AGE_GROUP.classes[i] for i in fp.classes] == list(
+            german.column(AGE_GROUP.column).values)
+        d = Dataset(columns=(Column("s", "categorical", ("b", "a")),
                              Column("outcome", "categorical", (GOOD, BAD))), outcome="outcome")
-        empty = partition(d, SensitiveSpec("s", "s", ("a", "b")))
-        for rows in (*fp.cells.values(), *empty.cells.values()):
-            assert rows.dtype == np.intp and rows.ndim == 1
-            assert (np.diff(rows) > 0).all()
-        assert empty.cells["b"].tolist() == []
+        # class indices follow the declared order, not the sorted labels
+        assert partition(d, SensitiveSpec("s", "s", ("b", "c", "a"))).classes == (0, 2)
 
     def test_unknown_column(self, german):
         with pytest.raises(ValueError, match="unknown column"):
             run_test(german, GENDER, "outcome", ["NoSuch"], DetectionConfig())
 
 
-def _one_key(size, rows):
-    """A two-key row keying: key 1 on `rows`, key 0 on the others."""
-    key = np.zeros(size, dtype=np.intp)
-    key[list(rows)] = 1
-    return key
+def _classes(size, rows):
+    """A two-class row labelling: class 1 on `rows`, class 0 on the others."""
+    classes = [0] * size
+    for r in rows:
+        classes[r] = 1
+    return classes
+
+
+def _top(classes, levels, n_classes, labellings=1):
+    """Each class's counts over all rows, as `label_distribution` gives them."""
+    counts = label_distribution(Counter(zip(classes, levels)), (), n_classes, labellings)
+    assert list(counts) == [()]
+    return counts[()]
 
 
 class TestLabelDistribution:
     def test_pooled(self, german):
         levels = outcome_levels(german, "outcome")
-        at_least = label_distribution(levels, np.zeros(german.size, dtype=np.intp), 1, 1)
-        assert at_least.tolist() == [[1000, 700]]
+        assert _top([0] * german.size, levels, 1) == [[1000, 700]]
 
     def test_singleton(self, german):
         good_row = german.column("outcome").values.index(GOOD)
-        at_least = label_distribution(outcome_levels(german, "outcome"),
-                                      _one_key(german.size, [good_row]), 2, 1)
-        assert at_least.tolist() == [[999, 699], [1, 1]]
+        assert _top(_classes(german.size, [good_row]), outcome_levels(german, "outcome"),
+                    2) == [[999, 699], [1, 1]]
 
     def test_empty_is_a_signal(self, german):
-        # a key with no rows counts zero rows, which no distribution accepts
-        at_least = label_distribution(outcome_levels(german, "outcome"),
-                                      np.zeros(german.size, dtype=np.intp), 3, 1)
-        assert at_least[1:].tolist() == [[0, 0], [0, 0]]
+        # a class with no rows counts zero rows, which no distribution accepts
+        at_least = _top([0] * german.size, outcome_levels(german, "outcome"), 3)
+        assert at_least[1:] == [[0, 0], [0, 0]]
         with pytest.raises(EmptyClassError):
-            ProbabilityDistribution.from_counts((BAD, GOOD), at_least[1].tolist())
+            ProbabilityDistribution.from_counts((BAD, GOOD), at_least[1])
 
     @given(st.lists(st.integers(min_value=0, max_value=999),
                     min_size=1, max_size=300))
     def test_masses_sum_to_one(self, rows):
         d = _GERMAN_CACHE[0]
-        at_least = label_distribution(outcome_levels(d, "outcome"), _one_key(d.size, rows), 2, 1)
-        total, good = at_least[1].tolist()
+        total, good = _top(_classes(d.size, rows), outcome_levels(d, "outcome"), 2)[1]
         assert total == len(set(rows))
         dist = ProbabilityDistribution.from_counts((BAD, GOOD), (total - good, good))
         assert abs(math.fsum(dist.mass) - 1.0) <= 1e-9
 
     def test_counts_every_labelling(self):
         # row r is good under labelling i iff i < levels[r]
-        levels = np.array([0, 3, 1, 3, 4], dtype=np.intp)
-        at_least = label_distribution(levels, np.array([0, 0, 0, 0, 1]), 2, 4)
-        assert at_least.tolist() == [[4, 3, 2, 2, 0], [1, 1, 1, 1, 1]]
+        assert _top([0, 0, 0, 0, 1], [0, 3, 1, 3, 4], 2, 4) == [[4, 3, 2, 2, 0],
+                                                                [1, 1, 1, 1, 1]]
 
     def test_outcome_levels(self):
         d = Dataset(columns=(Column("y", "categorical", (GOOD, BAD, GOOD)),
                              Column("z", "categorical", (GOOD, "maybe", BAD))), outcome="y")
-        assert outcome_levels(d, "y").tolist() == [1, 0, 1]
+        assert outcome_levels(d, "y") == (1, 0, 1)
         with pytest.raises(ValueError, match=r"column 'z' holds values outside \{good, bad\}"):
             outcome_levels(d, "z")
 
