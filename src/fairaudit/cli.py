@@ -99,8 +99,8 @@ def _config_from_args(args) -> AuditConfig:
 
 
 # --- commands ----------------------------------------------------------------
-# Each command imports its engine, so that only `train` and `sweep` load
-# numpy; `audit`, `compare` and `--help` do not.
+# Each command imports its engine, so that only `train` loads numpy;
+# `audit`, `sweep`, `compare` and `--help` do not.
 
 def _import_numpy():
     """Load numpy with OpenBLAS and OpenMP on one thread, unless the user
@@ -109,12 +109,11 @@ def _import_numpy():
     when it loads, and that thread busy-waits: on two shared CPUs a command
     took about 70 ms longer whenever both threads could not run at once.
 
-    With one thread, loading numpy here or deeper in the engine's import
-    chain starts a command equally fast (CPython 3.11, numpy 2.4, 20
-    alternating pairs: `train` 244 against 241 ms, `sweep` 211 against 218
-    ms).  OpenBLAS reads the variables only when it loads, so the ones set
-    here are removed again afterwards: a caller that runs a command in
-    process keeps its environment, and so do its later subprocesses."""
+    With one thread, loading numpy here or deeper in the import chain
+    starts `train` equally fast (CPython 3.11, numpy 2.4, 20 alternating
+    pairs: 244 against 241 ms).  OpenBLAS reads the variables only when it
+    loads, so the ones set here are removed afterwards: a caller that runs
+    a command in process, and its later subprocesses, keep their environment."""
     added = [name for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
              if name not in os.environ]
     for name in added:
@@ -223,7 +222,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _import_numpy()
     from . import revenue as rv
     cfg = _config_from_args(args)
     d = _audited_dataset(cfg)

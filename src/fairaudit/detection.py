@@ -142,7 +142,7 @@ def run_tests(d: Dataset, feature: SensitiveSpec, levels, labellings: int,
     """
     nonsensitive = tuple(nonsensitive)
     # partition first: an undeclared label beats an unknown conditioning column
-    classes = partition(d, feature).classes
+    classes = partition(d, feature)
     encodings = [d.column(col).encoded for col in nonsensitive]
     # each distinct (*conditioning codes, class, level) row and its row count
     rows = Counter(zip(*(e.codes for e in encodings), classes, levels))

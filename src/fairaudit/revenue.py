@@ -8,12 +8,12 @@ grid, weighing the model's fairness risk at each point (one labelling of
 a battery counted once for the whole grid) against the data's risk.
 
 Each row's level (how many grid thresholds its score reaches) serves
-both sides: the batteries count the model's labellings from it, and
-`tabular.label_distribution` counts the accepted and bad rows at every
-threshold from it.  The credit total and the interest income are summed
-over the accepted rows in row order with numpy, which `sweep` imports when
-called, so that the model audit (`with_predictions`) loads no numpy; their
-bits do not depend on the Python version.
+both sides: the batteries count the model's labellings from it, and one
+`tabular.label_distribution` call sums the accepted and bad rows, the
+credit total and the interest income at every threshold from it.  The
+money is summed exactly, as ints over one power-of-two denominator, and
+rounded once, so its bits depend neither on the row order nor on the
+Python version.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .config import MODES, DetectionConfig, RevenueConfig, SweepGrid  # noqa: F401
 from .detection import run_tests
@@ -53,13 +54,13 @@ def provisions(total_credit_amount: float, br: float, provision_factor: float) -
     return total_credit_amount * br * provision_factor
 
 
-def _row_order_total(x, accepted) -> float:
-    """`x` (a float array) added over the `accepted` rows (a bool array) in
-    row order from 0.0, as Python's `sum` adds floats up to 3.11
-    (`np.cumsum` adds in order, `np.sum` pairwise; the leading `0.0 +`
-    turns a total of -0.0 into 0.0)."""
-    import numpy as np
-    return 0.0 + float(np.cumsum(np.where(accepted, x, 0.0))[-1])
+def _exact(values) -> tuple[list[int], int]:
+    """Finite floats (each is n / 2**k) as ints over one power-of-two `den`:
+    `values[i] == ints[i] / den`, so `sum(ints) / den` is their exact total
+    correctly rounded."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
 
 
 def with_predictions(d: Dataset, scores, threshold: int) -> Dataset:
@@ -93,6 +94,13 @@ def credit_columns(d: Dataset, cfg: RevenueConfig) -> tuple[list[float], list[fl
     if any(a < 0 for a in amounts):
         raise ValueError(f"revenue.amount_column: column {cfg.amount_column!r} "
                          "holds negative credit amounts")
+    distinct = Counter(amounts)
+    credits, den = _exact(distinct)
+    try:  # amounts are >= 0 and rates <= 1, so every accepted total is at most this
+        sum(map(mul, credits, distinct.values())) / den
+    except OverflowError:
+        raise ValueError(f"revenue.amount_column: column {cfg.amount_column!r} "
+                         "holds credit amounts whose total exceeds the float range") from None
     if cfg.interest_rate_column is None:
         return amounts, [cfg.interest_rate] * d.size
     rates = _float_column(d, "revenue.interest_rate_column", "interest rate",
@@ -108,7 +116,6 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
           modes=MODES,
           rev_cfg: RevenueConfig = RevenueConfig()) -> list[SweepRow]:
     """Profit and fairness-risk trade-off over an ascending threshold grid."""
-    import numpy as np
     thresholds = list(thresholds)
     if not thresholds:
         raise ValueError("threshold grid is empty")
@@ -125,25 +132,30 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
     levels = [bisect_right(thresholds, s) for s in scores]
     model = [run_tests(d, f, levels, len(thresholds), nonsensitive, det_cfg) for f in features]
 
-    good = outcome_levels(d, d.outcome)
-    # the accepted good (class 0) and bad (class 1) rows at every threshold
-    outcomes = Counter(zip([1 - g for g in good], levels))
-    n_good, n_bad = (at_least[1:] for at_least in
-                     label_distribution(outcomes, (), 2, len(thresholds))[()])
-    amounts = np.array(amounts)
-    income = np.where(np.array(good) == 1, amounts * np.array(rates), 0.0)
-    levels = np.array(levels)
+    # each distinct (good, level, amount, rate) row and its row count
+    distinct = Counter(zip(outcome_levels(d, d.outcome), levels, amounts, rates))
+    money, den = _exact([a for _, _, a, _ in distinct] +
+                        [a * r if g else 0.0 for g, _, a, r in distinct])
+    # per level: the good (class 0) and bad (class 1) rows, and their credit
+    # (class 2) and interest income (class 3) in units of 1 / den
+    weights = Counter()
+    for (g, level, _, _), n, amount, interest in zip(distinct, distinct.values(), money,
+                                                     money[len(distinct):]):
+        weights[1 - g, level] += n
+        weights[2, level] += n * amount
+        weights[3, level] += n * interest
+    n_good, n_bad, credit, income = (at_least[1:] for at_least in
+                                     label_distribution(weights, (), 4, len(thresholds))[()])
 
     rows = []
     for t, threshold in enumerate(thresholds):
         n = n_good[t] + n_bad[t]
         br = n_bad[t] / n if n else 0.0
-        accepted = levels > t
-        prov = provisions(_row_order_total(amounts, accepted), br, rev_cfg.provision_factor)
+        prov = provisions(credit[t] / den, br, rev_cfg.provision_factor)
         model_risk = battery_risk([reports[t] for reports in model], modes)
         rows.append(SweepRow(
             threshold=threshold, accepted_count=n, bad_rate=br, provisions=prov,
-            profit=_row_order_total(income, accepted) - prov,
+            profit=income[t] / den - prov,
             model_risk=model_risk.overall, data_risk=data_risk.overall,
             risk_difference=model_risk.overall - data_risk.overall,
             warnings=() if n else ("no rows accepted at this threshold",)))

@@ -20,8 +20,7 @@ column's bins up in that column's row of `Scorecard.points` and adds the
 columns in order.
 
 The functions that compute import numpy when called, so that loading the
-module (for `classify`, which the model audit reaches through `revenue`)
-loads no numpy.
+module (which `revenue` does, for `classify`) loads no numpy.
 
 Score points per column follow
     points = -(coef * woe + intercept / K) * pdo / ln 2 + base_score / K

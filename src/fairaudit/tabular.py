@@ -13,10 +13,10 @@ whole columns one column at a time.  Datasets are immutable after
 load; "mutating" helpers return new Dataset objects sharing column data.
 Each column encodes itself once, on first use, as integer codes over its
 sorted distinct values.  Partitions and label counts are plain Python
-over those codes, so that an audit loads no numpy: `partition` gives
+over those codes, so that only `train` loads numpy: `partition` gives
 every row its sensitive class, and `label_distribution` counts the rows
 of every (subclass, class) cell under every labelling from the distinct
-rows of a battery, each with its row count.
+rows of a battery, each with its row count (or any int weight).
 """
 
 from __future__ import annotations
@@ -140,17 +140,6 @@ class SensitiveSpec:
             raise ValueError("sensitive classes must be pairwise distinct")
         if len(self.classes) < 2:
             raise ValueError("a sensitive feature needs at least two classes")
-
-
-@dataclass(frozen=True)
-class FeaturePartition:
-    """Every row's sensitive class: `classes[r]` is the index, in
-    `feature.classes`, of row r's class.  A declared class that no row
-    holds is still compared as empty (flagged with warnings downstream,
-    never silently dropped)."""
-
-    feature: SensitiveSpec
-    classes: tuple[int, ...]
 
 
 # --- German Credit loader -------------------------------------------------
@@ -428,15 +417,15 @@ def sensitive_spec_for(d: Dataset, name: str) -> SensitiveSpec:
 
 # --- Partitions and distributions ------------------------------------------
 
-def partition(d: Dataset, feature: SensitiveSpec) -> FeaturePartition:
-    """Give every row its sensitive class; a label outside the declared
+def partition(d: Dataset, feature: SensitiveSpec) -> tuple[int, ...]:
+    """Every row's class, as its index in `feature.classes` (a class that no
+    row holds is still compared, as empty); a label outside the declared
     classes raises, the first in row order."""
     if not d.has_column(feature.column):
         raise ValueError(f"sensitive column {feature.column!r} not in dataset")
     _check_declared(d, feature)
     index = {c: i for i, c in enumerate(feature.classes)}
-    return FeaturePartition(feature, tuple(map(index.__getitem__,
-                                               d.column(feature.column).values)))
+    return tuple(map(index.__getitem__, d.column(feature.column).values))
 
 
 def outcome_levels(d: Dataset, outcome: str) -> tuple[int, ...]:
@@ -452,14 +441,15 @@ def label_distribution(rows: dict, columns, n_classes: int, labellings: int) -> 
     i < `labellings`, where a row is good iff `i < level`.
 
     `rows` maps each distinct row `(*codes, class, level)` to how many rows
-    it stands for, as a `Counter` over the zipped per-row values does;
-    `columns` are the positions of the codes that fix a subclass.  Requires
-    `0 <= class < n_classes` and `0 <= level <= labellings`.  Returns, for
-    every subclass (its codes at `columns`) in sorted order, one list per
-    class, `at_least`: `at_least[0]` is the class's rows in the subclass and
-    `at_least[i + 1]` its rows good under labelling i, 0 for a class with
-    no rows.  The cells are summed over the distinct rows only, then each
-    cell's rows per level are summed from the highest level down.
+    it stands for, as a `Counter` over the zipped per-row values does (a
+    row's count may be any int weight); `columns` are the positions of the
+    codes that fix a subclass.  Requires `0 <= class < n_classes` and
+    `0 <= level <= labellings`.  Returns, for every subclass (its codes at
+    `columns`) in sorted order, one list per class, `at_least`:
+    `at_least[0]` is the class's rows in the subclass and `at_least[i + 1]`
+    its rows good under labelling i, 0 for a class with no rows.  The cells
+    are summed over the distinct rows only, then each cell's rows per level
+    are summed from the highest level down.
     """
     width = labellings + 1
     pick = itemgetter(*columns, -2, -1)  # (*subclass, class, level)

@@ -6,9 +6,9 @@ optional subclass conditions, the outcome distribution of a row set and
 the subclass enumeration, from which test_counting_oracle.py rebuilds
 every line of `detection.run_test`; `scorecard.group_rows`; the threshold
 sweep as one battery and one scan of the accepted rows per threshold,
-with its bad rate and profit; and the Kullback-Leibler and
-Jensen-Shannon kernels over a validated mixture distribution (all in
-test_counting_oracle.py).  Also of the scorecard's value-to-bin mapping,
+with its bad rate and its money summed exactly (`math.fsum`); and the
+Kullback-Leibler and Jensen-Shannon kernels over a validated mixture
+distribution (all in test_counting_oracle.py).  Also of the scorecard's value-to-bin mapping,
 logistic fit and scoring (test_scorecard.py), and of the German Credit
 and CSV loaders, the sensitive-feature derivation and the binning fit
 (test_columnar_oracle.py).  They are kept only as a differential oracle
@@ -287,13 +287,10 @@ def js(p: ProbabilityDistribution, q: ProbabilityDistribution) -> dv.DivergenceV
     return dv.DivergenceValue(dv.JS, min(1.0, max(0.0, value)))
 
 
-def row_order_sum(values) -> float:
-    """Floats added one by one in order from 0.0, as Python's `sum` adds
-    them up to 3.11 (3.12 compensates), on every Python version."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+def exact_sum(values) -> float:
+    """The exact total of floats, rounded once (`math.fsum`), so the same in
+    any order and on every Python version; a total of -0.0 reads 0.0."""
+    return 0.0 + math.fsum(values)
 
 
 def bad_rate(labels) -> float:
@@ -306,7 +303,7 @@ def bad_rate(labels) -> float:
 
 def profit(amounts, rates, provisions_amount: float) -> float:
     """Interest income over accepted non-defaulters minus provisions."""
-    return row_order_sum(a * r for a, r in zip(amounts, rates)) - provisions_amount
+    return exact_sum(a * r for a, r in zip(amounts, rates)) - provisions_amount
 
 
 def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
@@ -336,7 +333,7 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
         if not accepted:
             warnings = ("no rows accepted at this threshold",)
         br = bad_rate([outcomes[i] for i in accepted])
-        total_credit = row_order_sum(amounts[i] for i in accepted)
+        total_credit = exact_sum(amounts[i] for i in accepted)
         prov = provisions(total_credit, br, rev_cfg.provision_factor)
         performing = [i for i in accepted if outcomes[i] == GOOD]
         prof = profit([amounts[i] for i in performing],

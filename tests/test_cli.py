@@ -537,6 +537,12 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
         _csv_scored_case("amt", lambda i: {3: "nan", 7: "inf"}.get(i, 100 + i),
                          {"revenue": {"amount_column": "amt"}}),
         "revenue.amount_column: column 'amt' holds non-finite credit amounts"),
+    # each amount is finite, but the accepted rows' total is not
+    "credit_total_past_float_range": (
+        _csv_scored_case("amt", lambda i: "1e308" if i in (10, 30, 50) else 100 + i,
+                         {"revenue": {"amount_column": "amt"}}),
+        "revenue.amount_column: column 'amt' holds credit amounts whose total exceeds "
+        "the float range"),
     "nan_interest_rate": (
         _csv_scored_case("rate", lambda i: "nan" if i == 5 else 0.05,
                          {"revenue": {"amount_column": "income",
@@ -655,6 +661,14 @@ class TestStartup:
                     f"found = sorted(sys.modules.keys() & {unloaded!r})\n"
                     "assert not found, f'{found} loaded by the audit'\n", *argv)
         assert (tmp_path / f"risk_report_{target}.json").exists()
+
+    def test_sweep_loads_no_numpy(self, outputs, german_path, tmp_path):
+        self._fresh("assert fairaudit.cli.main(sys.argv[1:]) == 0\n"
+                    "assert 'numpy' not in sys.modules, 'numpy loaded by the sweep'\n"
+                    "assert {'fairaudit.revenue', 'fairaudit.scorecard'} <= sys.modules.keys()\n",
+                    "sweep", "--scores", os.path.join(outputs, "scores.csv"),
+                    "--dataset", german_path, "--out", str(tmp_path))
+        assert (tmp_path / "sweep.json").exists()
 
     # OpenBLAS starts one thread per further CPU that the process may run on
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task")

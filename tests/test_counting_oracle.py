@@ -3,10 +3,11 @@ generated datasets: same cells, counts and errors, and every line of a
 test (subclass order, support, compared classes, divergence, threshold,
 warnings) rebuilt from per-row scans; the (subclass, class) counts of
 distinct rows against a count of every row; the scorecard's row grouping; the threshold sweep against one
-battery and one row-order sum per threshold, row for row and bit for
-bit; and the divergence kernel against its validated-mixture version,
-bit for bit."""
+battery and one exact sum per threshold, row for row and bit for bit,
+and against itself on its rows shuffled; and the divergence kernel
+against its validated-mixture version, bit for bit."""
 
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -18,7 +19,7 @@ import rowscan_oracle as oracle
 from fairaudit import divergence as dv
 from fairaudit.config import MODES, RevenueConfig
 from fairaudit.detection import DetectionConfig, run_test
-from fairaudit.revenue import sweep
+from fairaudit.revenue import provisions, sweep
 from fairaudit.scorecard import group_rows
 from fairaudit.tabular import (
     BAD,
@@ -169,10 +170,8 @@ class TestAgainstRowScan:
             # the same whole-data, first-row error, and never only one of them
             assert got == want == _outcome(run_test, d, spec, "outcome", cols, cfg)
             return
-        fp, expected_fp = got[1], want[1]
-        assert {c: tuple(r for r, j in enumerate(fp.classes) if j == i)
-                for i, c in enumerate(spec.classes)} == expected_fp.cells
-        assert fp.feature == expected_fp.feature
+        assert {c: tuple(r for r, j in enumerate(got[1]) if j == i)
+                for i, c in enumerate(spec.classes)} == want[1].cells
 
         lines = run_test(d, spec, "outcome", cols, cfg).lines
         conditions = [()] + oracle.subclass_conditions(d, cols, depth)
@@ -232,23 +231,40 @@ class TestSweepAgainstPerThresholdBatteries:
         # repr tells every float's bits apart, -0.0 from 0.0 too
         assert repr(_outcome(sweep, *args)) == repr(_outcome(oracle.sweep, *args))
 
-    @pytest.mark.parametrize("amounts", [
+    @pytest.mark.parametrize("amounts, credit, income", [
         # 2**53 + 1.0 rounds back to 2**53, so added in row order the ones
-        # vanish; a pairwise sum adds them up first and keeps some of them
-        (2.0 ** 53,) + (1.0,) * 17,
-        # added from Python's start of 0, -0.0s total 0.0
-        (-0.0,) * 18,
-    ])
-    def test_sums_in_row_order(self, amounts):
+        # vanish; the exact credit 2**53 + 17 rounds to the even 2**53 + 16,
+        # and the good rows' income is exactly 2**53 + 16
+        ((2.0 ** 53,) + (1.0,) * 17, 2.0 ** 53 + 16, 2.0 ** 53 + 16),
+        # -0.0s total 0.0
+        ((-0.0,) * 18, 0.0, 0.0),
+    ], ids=["two_pow_53_and_ones", "negative_zeros"])
+    def test_sums_exactly(self, amounts, credit, income):
         n = len(amounts)
         d = Dataset(columns=(Column("x", CATEGORICAL, ("a", "b") * (n // 2)),
                              Column("s", DERIVED, ("c0", "c1") * (n // 2)),
                              Column("amount", DERIVED, amounts),
                              Column("outcome", CATEGORICAL, (GOOD,) * (n - 1) + (BAD,))),
                     outcome="outcome")
+        rev_cfg = RevenueConfig(interest_rate=1.0, amount_column="amount")
         args = (d, [1] * n, [0], [SensitiveSpec("s", "s", ("c0", "c1"))], ["x"],
-                DetectionConfig(), MODES, RevenueConfig(interest_rate=1.0, amount_column="amount"))
-        assert repr(sweep(*args)) == repr(oracle.sweep(*args))
+                DetectionConfig(), MODES, rev_cfg)
+        [row] = sweep(*args)
+        assert repr([row]) == repr(oracle.sweep(*args))
+        prov = provisions(credit, 1 / n, rev_cfg.provision_factor)
+        assert (repr(row.provisions), repr(row.profit)) == (repr(prov), repr(income - prov))
+
+    @given(sweeps(), st.integers(0, 2 ** 32 - 1))
+    def test_row_order_does_not_matter(self, case, seed):
+        d, spec, cols, scores, grid, rev_cfg = case
+        order = list(range(d.size))
+        random.Random(seed).shuffle(order)
+        shuffled = Dataset(columns=tuple(Column(c.name, c.kind, tuple(c.values[i] for i in order))
+                                         for c in d.columns), outcome=d.outcome)
+        cfg = DetectionConfig(depth=2, min_support=0)
+        assert repr(_outcome(sweep, shuffled, [scores[i] for i in order], grid, [spec], cols,
+                             cfg, MODES, rev_cfg)) == repr(
+            _outcome(sweep, d, scores, grid, [spec], cols, cfg, MODES, rev_cfg))
 
     def test_scores_past_int64(self):
         # 2**62 and 2**62 + 1 are one float64: a float level would accept the
