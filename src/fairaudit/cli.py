@@ -227,14 +227,14 @@ def cmd_sweep(args) -> int:
     d = _audited_dataset(cfg)
     features = _resolve_features(d, cfg)
     try:
-        rv.credit_columns(d, cfg.revenue)
+        credit = rv.credit_columns(d, cfg.revenue)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     scores = _read_scores(args.scores, d)
     thresholds = cfg.revenue.thresholds.values()
 
-    rows = rv.sweep(d, scores, thresholds, features, cfg.conditioning_columns,
-                    cfg.detection, cfg.fairness_modes, cfg.revenue)
+    rows = rv.sweep(d, scores, thresholds, features, cfg.conditioning_columns, credit,
+                    cfg.detection, cfg.fairness_modes, cfg.revenue.provision_factor)
 
     out = _out_dir(cfg)
     # the schema check comes first, so that a failed one writes neither file

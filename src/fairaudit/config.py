@@ -1,12 +1,12 @@
 """Declarative audit configuration: one versioned JSON file drives a run.
 
-Every section's config dataclass lives here, and each default is written
-once, in its dataclass; loading a config imports no counting module.  The
+Every section's config record lives here, and each default is written
+once, in its record class; loading a config imports no counting module.  The
 defaults encode the canonical German Credit audit (sensitive features
 gender / age_group / foreign, conditioning on Attribute1, 3, 6, 10, 12,
 14, rigour high, JS with max aggregation), so `audit` with no overrides
 reproduces it.  A config file is overlaid onto those defaults field by
-field and checked against the field annotations, and every dataclass
+field and checked against the field annotations, and every record
 validates itself, so any bad value fails at load.  Unknown keys are rejected.
 """
 
@@ -16,9 +16,9 @@ import json
 import math
 import types
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from . import divergence as dv
+from .record import Record, factory
 
 CONFIG_VERSION = 1
 
@@ -34,14 +34,12 @@ class ConfigError(ValueError):
     """Invalid or unreadable audit configuration."""
 
 
-@dataclass(frozen=True)
-class DetectionConfig:
+class DetectionConfig(Record):
     r: str = dv.HIGH
     aggregation: str = "max"
     depth: int = 1
     min_support: int = 10
-    intervals: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(dv.DEFAULT_INTERVALS))
+    intervals: dict[str, tuple[float, float]] = factory(lambda: dict(dv.DEFAULT_INTERVALS))
     c_ref: int = dv.DEFAULT_CLASS_REFERENCE
 
     def __post_init__(self):
@@ -62,8 +60,7 @@ class DetectionConfig:
             raise ValueError("class reference count c_ref must be positive")
 
 
-@dataclass(frozen=True)
-class BinningConfig:
+class BinningConfig(Record):
     max_prebins: int = 20
     min_bin_fraction: float = 0.05
 
@@ -74,8 +71,7 @@ class BinningConfig:
             raise ValueError("min_bin_fraction must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class ScoreScaling:
+class ScoreScaling(Record):
     pdo: float = 50.0
     base_score: float = 600.0
     base_odds: float = 10.0  # nominal good:bad odds at base_score (metadata)
@@ -85,15 +81,16 @@ class ScoreScaling:
             raise ValueError("pdo must be positive")
 
 
-@dataclass(frozen=True)
-class ScorecardConfig:
-    # binning and scaling keys sit directly under `scorecard` in a config file
+class ScorecardConfig(Record):
     columns: tuple[str, ...] | None = None  # None -> all non-derived input columns
-    binning: BinningConfig = field(default_factory=BinningConfig, metadata={"flat": True})
+    binning: BinningConfig = BinningConfig()
     learning_rate: float = 0.1
     iterations: int = 4000
-    scaling: ScoreScaling = field(default_factory=ScoreScaling, metadata={"flat": True})
+    scaling: ScoreScaling = ScoreScaling()
     score_threshold: int = 550
+
+    # these fields' keys sit directly under `scorecard` in a config file
+    FLAT = ("binning", "scaling")
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.iterations < 1:
@@ -107,8 +104,7 @@ class ScorecardConfig:
                 raise ValueError(f"columns: {twice[0]!r} is listed twice")
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(Record):
     """Inclusive score-threshold grid start, start+step, ..., <= stop."""
 
     start: int = 300
@@ -123,13 +119,12 @@ class SweepGrid:
         return list(range(self.start, self.stop + 1, self.step))
 
 
-@dataclass(frozen=True)
-class RevenueConfig:
+class RevenueConfig(Record):
     provision_factor: float = 0.2
     interest_rate: float = 0.05
     amount_column: str = "Attribute5"
     interest_rate_column: str | None = None
-    thresholds: SweepGrid = field(default_factory=SweepGrid)
+    thresholds: SweepGrid = SweepGrid()
 
     def __post_init__(self):
         if not (0.0 <= self.provision_factor <= 1.0):
@@ -138,8 +133,7 @@ class RevenueConfig:
             raise ValueError("interest_rate must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(Record):
     path: str = "data/german.data"
     format: str = GERMAN_FORMAT
     outcome_column: str = "outcome"
@@ -153,16 +147,15 @@ class DatasetConfig:
             raise ConfigError(f"bad_value: {self.bad_value!r} is also the good_value")
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+class AuditConfig(Record):
+    dataset: DatasetConfig = DatasetConfig()
     sensitive_features: tuple[str, ...] = ("gender", "age_group", "foreign")
     conditioning_columns: tuple[str, ...] = ("Attribute1", "Attribute3", "Attribute6",
                                              "Attribute10", "Attribute12", "Attribute14")
-    detection: DetectionConfig = field(default_factory=DetectionConfig)
+    detection: DetectionConfig = factory(DetectionConfig)  # holds a dict
     fairness_modes: tuple[str, ...] = MODES
-    scorecard: ScorecardConfig = field(default_factory=ScorecardConfig)
-    revenue: RevenueConfig = field(default_factory=RevenueConfig)
+    scorecard: ScorecardConfig = ScorecardConfig()
+    revenue: RevenueConfig = RevenueConfig()
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -181,45 +174,46 @@ class AuditConfig:
     def with_overrides(self, dataset_path=None, output_dir=None, modes=None):
         cfg = self
         if dataset_path is not None:
-            cfg = replace(cfg, dataset=replace(cfg.dataset, path=dataset_path))
+            cfg = cfg.replace(dataset=cfg.dataset.replace(path=dataset_path))
         if output_dir is not None:
-            cfg = replace(cfg, output_dir=output_dir)
+            cfg = cfg.replace(output_dir=output_dir)
         if modes is not None:
-            cfg = replace(cfg, fairness_modes=tuple(modes))
+            cfg = cfg.replace(fairness_modes=tuple(modes))
         return cfg
 
 
-# --- JSON -> dataclasses -----------------------------------------------------
+# --- JSON -> config records ---------------------------------------------------
 
 def _overlay(base, doc, where: str):
-    """Overlay the JSON object `doc` onto the config dataclass instance `base`.
+    """Overlay the JSON object `doc` onto the config record `base`.
 
-    A field marked `metadata={"flat": True}` is a nested dataclass whose
-    keys sit directly in `doc` rather than in an object of their own.
+    A field named in its class's `FLAT` is a nested record whose keys sit
+    directly in `doc` rather than in an object of their own.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where or 'config'}: expected an object, got {json.dumps(doc)}")
     hints = typing.get_type_hints(type(base))
+    flat = getattr(base, "FLAT", ())
     changes, used = {}, set()
-    for f in fields(base):
-        current = getattr(base, f.name)
-        if f.metadata.get("flat"):
-            sub = {g.name: doc[g.name] for g in fields(current) if g.name in doc}
-            changes[f.name] = _overlay(current, sub, where)
+    for name in base._fields:
+        current = getattr(base, name)
+        if name in flat:
+            sub = {key: doc[key] for key in current._fields if key in doc}
+            changes[name] = _overlay(current, sub, where)
             used |= sub.keys()
-        elif f.name in doc:
-            changes[f.name] = _value(hints[f.name], current, doc[f.name],
-                                     f"{where}.{f.name}".lstrip("."))
-            used.add(f.name)
+        elif name in doc:
+            changes[name] = _value(hints[name], current, doc[name],
+                                   f"{where}.{name}".lstrip("."))
+            used.add(name)
     unknown = doc.keys() - used
     if unknown:
         raise ConfigError(f"unknown {where or 'config'} keys: {sorted(unknown)}")
     try:
-        return replace(base, **changes)
+        return base.replace(**changes)
     except ValueError as exc:
         # a check that names its field as "<field>: <reason>" points at that key
         name, sep, reason = str(exc).partition(": ")
-        if sep and name in {f.name for f in fields(base)}:
+        if sep and name in base._fields:
             raise ConfigError(f"{where}.{name}".lstrip(".") + f": {reason}") from exc
         raise ConfigError(f"{where or 'config'}: {exc}") from exc
 
@@ -227,7 +221,8 @@ def _overlay(base, doc, where: str):
 def _value(tp, current, value, where: str):
     """Check one JSON value against a field annotation and convert it:
     lists become tuples, objects merge onto the current dict."""
-    if is_dataclass(tp):
+    # not `isinstance(tp, type)`, which holds for `tuple[str, ...]` on Python 3.10
+    if type(tp) is type and issubclass(tp, Record):
         return _overlay(current, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # only `X | None` is used

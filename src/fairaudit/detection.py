@@ -15,10 +15,10 @@ crashes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 from .config import DetectionConfig
+from .record import Record
 from .tabular import (
     BAD,
     GOOD,
@@ -33,8 +33,7 @@ from . import divergence as dv
 CLASS_VS_CLASS = "class_vs_class"
 
 
-@dataclass(frozen=True)
-class TestLine:
+class TestLine(Record):
     """One comparison: the subclass conditions, who was compared, the
     divergence against its threshold, and any warnings raised on the way.
 
@@ -61,8 +60,7 @@ class TestLine:
         return self.divergence is None
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(Record):
     sensitive_feature: str
     mode: str  # always CLASS_VS_CLASS
     divergence_kind: str

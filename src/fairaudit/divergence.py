@@ -10,7 +10,8 @@ stricter as classes become more granular and more populated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 KL = "kl"
 KL_NORMALIZED = "kl_normalized"
@@ -35,8 +36,7 @@ class EmptyClassError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
+class ProbabilityDistribution(Record):
     support: tuple[str, ...]
     mass: tuple[float, ...]
 
@@ -68,8 +68,7 @@ class ProbabilityDistribution:
         return cls(tuple(support), tuple(mass))
 
 
-@dataclass(frozen=True)
-class DivergenceValue:
+class DivergenceValue(Record):
     kind: str
     value: float
 
@@ -80,8 +79,7 @@ class DivergenceValue:
             raise ValueError(f"{self.kind} value {self.value} out of range")
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
+class ThresholdParams(Record):
     r: str
     n_c: int
     n_d: int

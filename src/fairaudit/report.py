@@ -1,7 +1,7 @@
 """Machine-readable reports: JSON documents validated against the shipped
 schemas, plus the CSV outputs.
 
-Every JSON output is `dumps(to_doc(result))` of its result dataclass.
+Every JSON output is `dumps(to_doc(result))` of its result record.
 Numeric fields are emitted at full precision together with a rounded
 display string (5 decimals for rates and risks, 2 for money).  All
 serialization is deterministic: sorted keys, fixed indentation, no
@@ -18,13 +18,13 @@ document imports jsonschema, which then writes the error message.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import json
 import numbers
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _string_text
 
+from .record import Record
 from .risk import HazardValue, RiskReport
 
 SCHEMA_NAMES = ("test_report", "risk_report", "hazard_comparison", "sweep")
@@ -293,15 +293,15 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 @functools.cache
 def _plan(cls) -> tuple[tuple[str, str, int | None], ...] | None:
     """(field name, display key, display places) of each field of a
-    dataclass, else None."""
-    if not dataclasses.is_dataclass(cls):
+    record class, else None."""
+    if not issubclass(cls, Record):
         return None
-    return tuple((f.name, f.name + "_display", _DISPLAY_PLACES.get(f.name))
-                 for f in dataclasses.fields(cls))
+    return tuple((name, name + "_display", _DISPLAY_PLACES.get(name))
+                 for name in cls._fields)
 
 
 def to_doc(obj):
-    """The JSON document of a result: a dataclass becomes an object of its
+    """The JSON document of a result: a record becomes an object of its
     fields, a tuple or list a list, and `conditions` a list of
     `{column, value}` objects.  Each field in `_DISPLAY_PLACES` also gets
     its `<field>_display` string, or null when the value is None."""
@@ -370,13 +370,14 @@ def _read_scores(path, reader) -> list[int]:
         raise ValueError(f"{path}: not a scores CSV (expected row_id,score,... header)")
     scores = []
     for row_id, row in enumerate(reader):
-        where = f"{path}: line {reader.line_num}"
         if len(row) < 2 or row[0] != str(row_id):
-            raise ValueError(f"{where}: expected row_id {row_id} and a score, got {row}")
+            raise ValueError(f"{path}: line {reader.line_num}: expected row_id {row_id} "
+                             f"and a score, got {row}")
         try:
             scores.append(int(row[1]))
         except ValueError:
-            raise ValueError(f"{where}: score {row[1]!r} is not an integer") from None
+            raise ValueError(f"{path}: line {reader.line_num}: score {row[1]!r} "
+                             "is not an integer") from None
     return scores
 
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
 
 from .config import MODES, DetectionConfig, RevenueConfig, SweepGrid  # noqa: F401
 from .detection import run_tests
+from .record import Record
 from .risk import battery_risk, run_battery
 from .scorecard import classify
 from .tabular import DERIVED, Column, Dataset, label_distribution, outcome_levels
@@ -33,8 +33,7 @@ from .tabular import DERIVED, Column, Dataset, label_distribution, outcome_level
 PREDICTION_COLUMN = "prediction"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     threshold: int
     accepted_count: int
     bad_rate: float
@@ -111,11 +110,14 @@ def credit_columns(d: Dataset, cfg: RevenueConfig) -> tuple[list[float], list[fl
     return amounts, rates
 
 
-def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
+def sweep(d: Dataset, scores, thresholds, features, nonsensitive, credit,
           det_cfg: DetectionConfig = DetectionConfig(),
           modes=MODES,
-          rev_cfg: RevenueConfig = RevenueConfig()) -> list[SweepRow]:
-    """Profit and fairness-risk trade-off over an ascending threshold grid."""
+          provision_factor: float = RevenueConfig.provision_factor) -> list[SweepRow]:
+    """Profit and fairness-risk trade-off over an ascending threshold grid.
+
+    `credit` is the rows' credit amounts and interest rates, as
+    `credit_columns` parses them."""
     thresholds = list(thresholds)
     if not thresholds:
         raise ValueError("threshold grid is empty")
@@ -124,8 +126,10 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
     scores = list(scores)
     if len(scores) != d.size:
         raise ValueError("one score per row required")
+    amounts, rates = credit
+    if len(amounts) != d.size or len(rates) != d.size:
+        raise ValueError("one credit amount and interest rate per row required")
 
-    amounts, rates = credit_columns(d, rev_cfg)
     _, data_risk = run_battery(d, d.outcome, features, nonsensitive, det_cfg, modes)
 
     # accepted at threshold t iff t < level (score >= threshold), in exact ints
@@ -144,14 +148,14 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
         weights[1 - g, level] += n
         weights[2, level] += n * amount
         weights[3, level] += n * interest
-    n_good, n_bad, credit, income = (at_least[1:] for at_least in
+    n_good, n_bad, total_credit, income = (at_least[1:] for at_least in
                                      label_distribution(weights, (), 4, len(thresholds))[()])
 
     rows = []
     for t, threshold in enumerate(thresholds):
         n = n_good[t] + n_bad[t]
         br = n_bad[t] / n if n else 0.0
-        prov = provisions(credit[t] / den, br, rev_cfg.provision_factor)
+        prov = provisions(total_credit[t] / den, br, provision_factor)
         model_risk = battery_risk([reports[t] for reports in model], modes)
         rows.append(SweepRow(
             threshold=threshold, accepted_count=n, bad_rate=br, provisions=prov,

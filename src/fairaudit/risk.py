@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .config import GROUP, INDIVIDUAL, MODES
+from .record import Record
 
 
-@dataclass(frozen=True)
-class HazardValue:
+class HazardValue(Record):
     test: str
     mode: str
     value: float
@@ -36,14 +35,12 @@ class HazardValue:
             raise ValueError("line contributions cannot be negative")
 
 
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(Record):
     hazards: tuple[HazardValue, ...]
     overall: float
 
 
-@dataclass(frozen=True)
-class HazardEntry:
+class HazardEntry(Record):
     feature: str
     mode: str
     data_hazard: float
@@ -51,8 +48,7 @@ class HazardEntry:
     difference: float  # model - data; positive means amplification
 
 
-@dataclass(frozen=True)
-class HazardComparison:
+class HazardComparison(Record):
     entries: tuple[HazardEntry, ...]
     data_overall: float
     model_overall: float

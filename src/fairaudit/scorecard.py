@@ -32,11 +32,11 @@ fall.  The fitted target is the bad class (bad=1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .config import BinningConfig, ScorecardConfig, ScoreScaling
+from .record import Record
 from .tabular import BAD, GOOD, CATEGORICAL, DERIVED, INTEGER, Dataset
 
 if TYPE_CHECKING:
@@ -80,8 +80,7 @@ def group_rows(size: int, keys) -> tuple[np.ndarray, np.ndarray]:
     return first_rows, group
 
 
-@dataclass(frozen=True)
-class BinningSpec:
+class BinningSpec(Record):
     """Binning of one column with the WOE per bin and the column IV.
 
     Numeric bins are the half-open intervals between consecutive `edges`
@@ -129,12 +128,11 @@ class BinningSpec:
         return np.array(bins, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class Scorecard:
+class Scorecard(Record):
     binnings: tuple[BinningSpec, ...]
     coefficients: tuple[float, ...]
     intercept: float
-    scaling: ScoreScaling = field(default_factory=ScoreScaling)
+    scaling: ScoreScaling = ScoreScaling()
     final_loss: float | None = None
 
     def __post_init__(self):
@@ -174,8 +172,7 @@ class Scorecard:
         return [round(t) for t in total.tolist()]
 
 
-@dataclass(frozen=True)
-class ScoreMetrics:
+class ScoreMetrics(Record):
     roc: tuple[tuple[float, float], ...]  # (fpr, tpr), monotone in both
     auc: float
     gini: float

@@ -25,13 +25,13 @@ import csv
 import functools
 import io
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, islice
 from operator import itemgetter
 from typing import NamedTuple
 
 # re-exported for callers that build distributions from these counts
 from .divergence import EmptyClassError, ProbabilityDistribution  # noqa: F401
+from .record import Record
 
 GOOD = "good"
 BAD = "bad"
@@ -58,8 +58,7 @@ class Encoding(NamedTuple):
     codes: bytes | tuple
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(Record):
     name: str
     kind: str  # CATEGORICAL | INTEGER | DERIVED
     values: tuple
@@ -76,8 +75,7 @@ class Column:
         return Encoding(uniques, index, bytes(codes) if len(uniques) <= 256 else tuple(codes))
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """An immutable labelled table.
 
     Every row has a value for every column, the outcome column holds
@@ -86,7 +84,6 @@ class Dataset:
 
     columns: tuple[Column, ...]
     outcome: str
-    _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.columns:
@@ -123,11 +120,10 @@ class Dataset:
         by_name = {c.name: c for c in new}
         cols = [by_name.pop(c.name, c) for c in self.columns]
         cols.extend(by_name[c.name] for c in new if c.name in by_name)
-        return replace(self, columns=tuple(cols))
+        return self.replace(columns=tuple(cols))
 
 
-@dataclass(frozen=True)
-class SensitiveSpec:
+class SensitiveSpec(Record):
     """A sensitive feature: the column holding its class labels and the
     ordered, pairwise-distinct class labels it can take."""
 

@@ -42,16 +42,21 @@ def scores(card, german):
     return card.score_dataset(german)
 
 
-@pytest.fixture(scope="session")
-def outputs(tmp_path_factory):
-    """One default CLI pipeline (sweep included), shared read-only by the tests."""
-    out = str(tmp_path_factory.mktemp("cli_out"))
+def run_pipeline(dataset: str, out: str):
+    """The default CLI pipeline (sweep included) on `dataset`, into `out`."""
     scores = os.path.join(out, "scores.csv")
     for argv in (["train"],
                  ["audit", "--target", "data"],
                  ["audit", "--target", "model", "--scores", scores],
                  ["sweep", "--scores", scores]):
-        assert cli.main([*argv, "--dataset", GERMAN_PATH, "--out", out]) == 0
+        assert cli.main([*argv, "--dataset", dataset, "--out", out]) == 0
     assert cli.main(["compare", os.path.join(out, "risk_report_model.json"),
                      os.path.join(out, "risk_report_data.json"), "--out", out]) == 0
+
+
+@pytest.fixture(scope="session")
+def outputs(tmp_path_factory):
+    """One default pipeline on German, shared read-only by the tests."""
+    out = str(tmp_path_factory.mktemp("cli_out"))
+    run_pipeline(GERMAN_PATH, out)
     return out

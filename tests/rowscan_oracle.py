@@ -29,7 +29,6 @@ from fairaudit.config import MODES, DetectionConfig, RevenueConfig
 from fairaudit.revenue import (
     PREDICTION_COLUMN,
     SweepRow,
-    credit_columns,
     provisions,
     with_predictions,
 )
@@ -306,10 +305,10 @@ def profit(amounts, rates, provisions_amount: float) -> float:
     return exact_sum(a * r for a, r in zip(amounts, rates)) - provisions_amount
 
 
-def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
+def sweep(d: Dataset, scores, thresholds, features, nonsensitive, credit,
           det_cfg: DetectionConfig = DetectionConfig(),
           modes=MODES,
-          rev_cfg: RevenueConfig = RevenueConfig()) -> list[SweepRow]:
+          provision_factor: float = RevenueConfig.provision_factor) -> list[SweepRow]:
     """Profit and fairness-risk trade-off over an ascending threshold grid,
     with a fresh battery on the model's classifications at each threshold."""
     thresholds = list(thresholds)
@@ -321,7 +320,7 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
     if len(scores) != d.size:
         raise ValueError("one score per row required")
 
-    amounts, rates = credit_columns(d, rev_cfg)
+    amounts, rates = credit
     outcomes = d.column(d.outcome).values
 
     _, data_risk = run_battery(d, d.outcome, features, nonsensitive, det_cfg, modes)
@@ -334,7 +333,7 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive,
             warnings = ("no rows accepted at this threshold",)
         br = bad_rate([outcomes[i] for i in accepted])
         total_credit = exact_sum(amounts[i] for i in accepted)
-        prov = provisions(total_credit, br, rev_cfg.provision_factor)
+        prov = provisions(total_credit, br, provision_factor)
         performing = [i for i in accepted if outcomes[i] == GOOD]
         prof = profit([amounts[i] for i in performing],
                       [rates[i] for i in performing], prov)

@@ -523,6 +523,11 @@ MALFORMED_INPUTS = {  # case id -> (argv builder, fragment of the error line)
     "non_numeric_amount_column": (
         _scored_case({"revenue": {"amount_column": "Attribute1"}}),
         "revenue.amount_column: credit amount column 'Attribute1' is not numeric"),
+    # the credit columns are checked before the scores file is read
+    "non_numeric_amount_column_and_no_scores_file": (
+        _config_case({"revenue": {"amount_column": "Attribute1"}},
+                     ("sweep", "--scores", "no_such_scores.csv")),
+        "revenue.amount_column: credit amount column 'Attribute1' is not numeric"),
     "non_numeric_interest_rate_column": (
         _scored_case({"revenue": {"interest_rate_column": "Attribute1"}}),
         "revenue.interest_rate_column: interest rate column 'Attribute1' is not numeric"),
@@ -610,6 +615,9 @@ class TestMalformedInputs:
 # check may load
 COUNTING_MODULES = ("numpy", "jsonschema", "fairaudit.tabular", "fairaudit.scorecard",
                     "fairaudit.detection", "fairaudit.revenue")
+# what no command but `train` (through numpy) may load: `dataclasses`, with
+# `inspect` and its imports, cost every command about 20 ms at start
+DATACLASS_MODULES = ("dataclasses", "inspect")
 
 
 class TestStartup:
@@ -617,9 +625,10 @@ class TestStartup:
     def _fresh(program, *argv, **env_vars):
         """Run `program` in a fresh interpreter that checks `loaded(<when>)`,
         with `env_vars` set in its environment (removed where None)."""
+        unloaded = set(COUNTING_MODULES + DATACLASS_MODULES)
         header = ("import sys\n"
                   "def loaded(when):\n"
-                  f"    found = sorted(sys.modules.keys() & set({COUNTING_MODULES!r}))\n"
+                  f"    found = sorted(sys.modules.keys() & {unloaded!r})\n"
                   "    assert not found, f'{found} loaded by {when}'\n"
                   "import fairaudit.cli\n"
                   "loaded('the import')\n")
@@ -650,8 +659,8 @@ class TestStartup:
     # the model audit takes `classify` from the scorecard module through
     # `revenue`; the module itself loads no numpy
     @pytest.mark.parametrize("target, unloaded", [
-        (cli.DATA, {"numpy", "fairaudit.scorecard", "fairaudit.revenue"}),
-        (cli.MODEL, {"numpy"}),
+        (cli.DATA, {"numpy", "fairaudit.scorecard", "fairaudit.revenue", *DATACLASS_MODULES}),
+        (cli.MODEL, {"numpy", *DATACLASS_MODULES}),
     ], ids=[cli.DATA, cli.MODEL])
     def test_audit_loads_no_numpy(self, target, unloaded, outputs, german_path, tmp_path):
         argv = ["audit", "--target", target, "--dataset", german_path, "--out", str(tmp_path)]
@@ -663,8 +672,10 @@ class TestStartup:
         assert (tmp_path / f"risk_report_{target}.json").exists()
 
     def test_sweep_loads_no_numpy(self, outputs, german_path, tmp_path):
+        unloaded = {"numpy", *DATACLASS_MODULES}
         self._fresh("assert fairaudit.cli.main(sys.argv[1:]) == 0\n"
-                    "assert 'numpy' not in sys.modules, 'numpy loaded by the sweep'\n"
+                    f"found = sorted(sys.modules.keys() & {unloaded!r})\n"
+                    "assert not found, f'{found} loaded by the sweep'\n"
                     "assert {'fairaudit.revenue', 'fairaudit.scorecard'} <= sys.modules.keys()\n",
                     "sweep", "--scores", os.path.join(outputs, "scores.csv"),
                     "--dataset", german_path, "--out", str(tmp_path))

@@ -19,7 +19,7 @@ import rowscan_oracle as oracle
 from fairaudit import divergence as dv
 from fairaudit.config import MODES, RevenueConfig
 from fairaudit.detection import DetectionConfig, run_test
-from fairaudit.revenue import provisions, sweep
+from fairaudit.revenue import credit_columns, provisions, sweep
 from fairaudit.scorecard import group_rows
 from fairaudit.tabular import (
     BAD,
@@ -99,7 +99,7 @@ def coded_rows(draw):
 @st.composite
 def sweeps(draw):
     """(dataset with an `amount` column, sensitive spec, conditioning
-    columns, scores, threshold grid, revenue config), with declared class
+    columns, scores, threshold grid, parsed credit columns), with declared class
     labels only (the battery's errors are the audits' own).  Scores and
     thresholds share a small range, so scores tie with thresholds, and some
     grids lie wholly below or above every score.  Amounts have fractional
@@ -119,7 +119,7 @@ def sweeps(draw):
     scores = column(st.integers(0, 4))
     lowest = draw(st.integers(-4, 5))
     grid = sorted(draw(st.sets(st.integers(lowest, lowest + 3), min_size=1, max_size=4)))
-    return d, spec, cols, scores, grid, rev_cfg
+    return d, spec, cols, scores, grid, credit_columns(d, rev_cfg)
 
 
 @st.composite
@@ -224,10 +224,10 @@ class TestSweepAgainstPerThresholdBatteries:
     @given(sweeps(), st.integers(1, 2), st.sampled_from(dv.AGGREGATIONS),
            st.sampled_from((0, 1, 3, 10)))
     def test_every_row_equal(self, case, depth, aggregation, min_support):
-        d, spec, cols, scores, grid, rev_cfg = case
-        args = (d, scores, grid, [spec], cols,
+        d, spec, cols, scores, grid, credit = case
+        args = (d, scores, grid, [spec], cols, credit,
                 DetectionConfig(depth=depth, aggregation=aggregation, min_support=min_support),
-                MODES, rev_cfg)
+                MODES)
         # repr tells every float's bits apart, -0.0 from 0.0 too
         assert repr(_outcome(sweep, *args)) == repr(_outcome(oracle.sweep, *args))
 
@@ -248,7 +248,7 @@ class TestSweepAgainstPerThresholdBatteries:
                     outcome="outcome")
         rev_cfg = RevenueConfig(interest_rate=1.0, amount_column="amount")
         args = (d, [1] * n, [0], [SensitiveSpec("s", "s", ("c0", "c1"))], ["x"],
-                DetectionConfig(), MODES, rev_cfg)
+                credit_columns(d, rev_cfg), DetectionConfig(), MODES, rev_cfg.provision_factor)
         [row] = sweep(*args)
         assert repr([row]) == repr(oracle.sweep(*args))
         prov = provisions(credit, 1 / n, rev_cfg.provision_factor)
@@ -256,15 +256,16 @@ class TestSweepAgainstPerThresholdBatteries:
 
     @given(sweeps(), st.integers(0, 2 ** 32 - 1))
     def test_row_order_does_not_matter(self, case, seed):
-        d, spec, cols, scores, grid, rev_cfg = case
+        d, spec, cols, scores, grid, (amounts, rates) = case
         order = list(range(d.size))
         random.Random(seed).shuffle(order)
         shuffled = Dataset(columns=tuple(Column(c.name, c.kind, tuple(c.values[i] for i in order))
                                          for c in d.columns), outcome=d.outcome)
         cfg = DetectionConfig(depth=2, min_support=0)
+        shuffled_credit = ([amounts[i] for i in order], [rates[i] for i in order])
         assert repr(_outcome(sweep, shuffled, [scores[i] for i in order], grid, [spec], cols,
-                             cfg, MODES, rev_cfg)) == repr(
-            _outcome(sweep, d, scores, grid, [spec], cols, cfg, MODES, rev_cfg))
+                             shuffled_credit, cfg, MODES)) == repr(
+            _outcome(sweep, d, scores, grid, [spec], cols, (amounts, rates), cfg, MODES))
 
     def test_scores_past_int64(self):
         # 2**62 and 2**62 + 1 are one float64: a float level would accept the
@@ -277,7 +278,8 @@ class TestSweepAgainstPerThresholdBatteries:
         scores = [2 ** 62, 2 ** 64 - 1, -10 ** 30, 2 ** 62 + 1]
         grid = [-10 ** 30, 2 ** 62, 2 ** 62 + 1, 2 ** 64]
         args = (d, scores, grid, [SensitiveSpec("s", "s", ("c0", "c1"))], ["x"],
-                DetectionConfig(min_support=0), MODES, RevenueConfig(amount_column="amount"))
+                credit_columns(d, RevenueConfig(amount_column="amount")),
+                DetectionConfig(min_support=0), MODES)
         rows = sweep(*args)
         assert rows == oracle.sweep(*args)
         assert [row.accepted_count for row in rows] == [4, 3, 2, 0]

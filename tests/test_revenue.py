@@ -22,9 +22,13 @@ NONSENS = ["Attribute1", "Attribute14"]
 CFG = DetectionConfig()
 
 
+def credit(d, **revenue):
+    return rv.credit_columns(d, rv.RevenueConfig(**revenue))
+
+
 @pytest.fixture(scope="module")
 def coarse_sweep(german, scores):
-    return rv.sweep(german, scores, range(300, 801, 50), FEATURES, NONSENS, CFG)
+    return rv.sweep(german, scores, range(300, 801, 50), FEATURES, NONSENS, credit(german), CFG)
 
 
 def small_row(amounts, outcomes, scores=None, **revenue) -> rv.SweepRow:
@@ -36,9 +40,11 @@ def small_row(amounts, outcomes, scores=None, **revenue) -> rv.SweepRow:
                          Column("amount", DERIVED, tuple(amounts)),
                          Column("outcome", CATEGORICAL, tuple(outcomes))),
                 outcome="outcome")
+    rev_cfg = rv.RevenueConfig(amount_column="amount", **revenue)
     [row] = rv.sweep(d, [1] * n if scores is None else scores, [1],
-                     [SensitiveSpec("s", "s", ("c0", "c1"))], ["x"], CFG,
-                     rev_cfg=rv.RevenueConfig(amount_column="amount", **revenue))
+                     [SensitiveSpec("s", "s", ("c0", "c1"))], ["x"],
+                     rv.credit_columns(d, rev_cfg), CFG,
+                     provision_factor=rev_cfg.provision_factor)
     return row
 
 
@@ -143,12 +149,12 @@ class TestSweep:
         assert first.bad_rate == 0.3
 
     def test_deterministic(self, german, scores):
-        a = rv.sweep(german, scores, [500, 600], FEATURES, NONSENS, CFG)
-        b = rv.sweep(german, scores, [500, 600], FEATURES, NONSENS, CFG)
+        a = rv.sweep(german, scores, [500, 600], FEATURES, NONSENS, credit(german), CFG)
+        b = rv.sweep(german, scores, [500, 600], FEATURES, NONSENS, credit(german), CFG)
         assert a == b
 
     def test_empty_acceptance_warns(self, german, scores):
-        rows = rv.sweep(german, scores, [10_000], FEATURES, NONSENS, CFG)
+        rows = rv.sweep(german, scores, [10_000], FEATURES, NONSENS, credit(german), CFG)
         row = rows[0]
         assert row.accepted_count == 0
         assert row.bad_rate == 0.0
@@ -158,23 +164,28 @@ class TestSweep:
 
     def test_empty_grid_rejected(self, german, scores):
         with pytest.raises(ValueError, match="empty"):
-            rv.sweep(german, scores, [], FEATURES, NONSENS, CFG)
+            rv.sweep(german, scores, [], FEATURES, NONSENS, credit(german), CFG)
 
     def test_unsorted_grid_rejected(self, german, scores):
         with pytest.raises(ValueError, match="ascending"):
-            rv.sweep(german, scores, [600, 500], FEATURES, NONSENS, CFG)
+            rv.sweep(german, scores, [600, 500], FEATURES, NONSENS, credit(german), CFG)
 
     def test_score_length_checked(self, german):
         with pytest.raises(ValueError, match="one score per row"):
-            rv.sweep(german, [1, 2], [500], FEATURES, NONSENS, CFG)
+            rv.sweep(german, [1, 2], [500], FEATURES, NONSENS, credit(german), CFG)
+
+    def test_credit_length_checked(self, german, scores):
+        amounts, rates = credit(german)
+        with pytest.raises(ValueError, match="one credit amount and interest rate per row"):
+            rv.sweep(german, scores, [500], FEATURES, NONSENS, (amounts, rates[1:]), CFG)
 
     def test_prediction_column_in_dataset_accepted(self, german, scores):
         # the sweep counts the model's classifications without a column for them
         d = german.with_columns([Column(rv.PREDICTION_COLUMN, "categorical",
                                         ("p", "q") * (german.size // 2))])
         grid = [500, 600]
-        assert (rv.sweep(d, scores, grid, FEATURES, NONSENS, CFG)
-                == rv.sweep(german, scores, grid, FEATURES, NONSENS, CFG))
+        assert (rv.sweep(d, scores, grid, FEATURES, NONSENS, credit(d), CFG)
+                == rv.sweep(german, scores, grid, FEATURES, NONSENS, credit(german), CFG))
 
     def test_negative_amounts_rejected(self, german, scores):
         from fairaudit.tabular import Column
@@ -182,22 +193,22 @@ class TestSweep:
             Column("Attribute5", "integer",
                    (-1,) + german.column("Attribute5").values[1:])])
         with pytest.raises(ValueError, match="negative credit amounts"):
-            rv.sweep(broken, scores, [500], FEATURES, NONSENS, CFG)
+            credit(broken)
 
     def test_per_row_interest_rate_column(self, german, scores):
         from fairaudit.tabular import Column
-        flat = rv.sweep(german, scores, [600], FEATURES, NONSENS, CFG,
-                        rev_cfg=rv.RevenueConfig(interest_rate=0.05))
+        flat = rv.sweep(german, scores, [600], FEATURES, NONSENS,
+                        credit(german, interest_rate=0.05), CFG)
         with_col = german.with_columns([
             Column("rate", "derived", (0.05,) * german.size)])
-        per_row = rv.sweep(with_col, scores, [600], FEATURES, NONSENS, CFG,
-                           rev_cfg=rv.RevenueConfig(interest_rate_column="rate"))
+        per_row = rv.sweep(with_col, scores, [600], FEATURES, NONSENS,
+                           credit(with_col, interest_rate_column="rate"), CFG)
         assert per_row[0].profit == flat[0].profit
 
     def test_bits_independent_of_builtin_sum(self, german, scores, monkeypatch):
         # Python 3.12 made `sum` of floats compensated; the sweep must not use it
         grid = rv.RevenueConfig().thresholds.values()
-        want = rv.sweep(german, scores, grid, FEATURES, NONSENS, CFG)
+        want = rv.sweep(german, scores, grid, FEATURES, NONSENS, credit(german), CFG)
         monkeypatch.setattr(rv, "sum", compensated_sum, raising=False)
-        got = rv.sweep(german, scores, grid, FEATURES, NONSENS, CFG)
+        got = rv.sweep(german, scores, grid, FEATURES, NONSENS, credit(german), CFG)
         assert list(map(repr, got)) == list(map(repr, want))
