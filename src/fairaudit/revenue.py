@@ -116,8 +116,10 @@ def sweep(d: Dataset, scores, thresholds, features, nonsensitive, credit,
           provision_factor: float = RevenueConfig.provision_factor) -> list[SweepRow]:
     """Profit and fairness-risk trade-off over an ascending threshold grid.
 
-    `credit` is the rows' credit amounts and interest rates, as
-    `credit_columns` parses them."""
+    `credit` is the rows' credit amounts and interest rates as
+    `credit_columns` returns them; only their lengths are checked again, so
+    columns built another way must be finite, non-negative and summable in
+    floats, with rates in [0, 1]."""
     thresholds = list(thresholds)
     if not thresholds:
         raise ValueError("threshold grid is empty")

@@ -616,8 +616,10 @@ class TestMalformedInputs:
 COUNTING_MODULES = ("numpy", "jsonschema", "fairaudit.tabular", "fairaudit.scorecard",
                     "fairaudit.detection", "fairaudit.revenue")
 # what no command but `train` (through numpy) may load: `dataclasses`, with
-# `inspect` and its imports, cost every command about 20 ms at start
-DATACLASS_MODULES = ("dataclasses", "inspect")
+# `inspect` and its imports, cost every command about 20 ms at start.  From
+# Python 3.12 `importlib.resources`, which `report` reads its schemas with,
+# loads `inspect` itself, so there only `dataclasses` is checked
+DATACLASS_MODULES = ("dataclasses",) + (("inspect",) if sys.version_info < (3, 12) else ())
 
 
 class TestStartup:
